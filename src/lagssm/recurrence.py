@@ -11,6 +11,8 @@ project_direct is the offline oracle for exactly that quantity.
 from __future__ import annotations
 
 import csv
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ from .quadrature import QuadratureConfig, panel_nodes
 from .warp import WarpSpec, warp_forward, warp_inverse
 
 _UNIFORM_TOL = 1e-12
+_MAX_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,10 @@ class SignalTrace:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size == 0:
             raise ArgumentError("times and values must be equal-length 1-D arrays")
+        for name, arr in (("times", t), ("values", v)):
+            if not np.all(np.isfinite(arr)):
+                i = int(np.argmin(np.isfinite(arr)))
+                raise ArgumentError(f"{name} must be finite; sample {i} is {arr[i]!r}")
         if self.delta <= 0.0:
             raise ArgumentError(f"delta must be positive, got {self.delta}")
         if t.size > 1:
@@ -117,24 +124,121 @@ def step(
     )
 
 
-def run(trace: SignalTrace, a: np.ndarray, b_model) -> list[MemoryState]:
-    """Fold step over the trace from the zero state at t = 0.
+class Trajectory(Sequence):
+    """Read-only sequence of the L+1 states of one run.
+
+    `coeffs` holds every state as one (L+1, N) array.  Item k is built on
+    demand as a MemoryState at t = k * delta holding a copy of row k; a
+    slice gives a list of such states.
+    """
+
+    def __init__(self, coeffs: np.ndarray, delta: float):
+        coeffs.flags.writeable = False
+        self._coeffs = coeffs
+        self._delta = delta
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._coeffs
+
+    def __len__(self) -> int:
+        return self._coeffs.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._state(k) for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"state index {index} out of range for {len(self)} states")
+        return self._state(k)
+
+    def _state(self, k: int) -> MemoryState:
+        return MemoryState(coeffs=self._coeffs[k].copy(), t=k * self._delta)
+
+
+def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
+    """All states of the recurrence over the trace, from the zero state at t = 0.
 
     Sample k covers the interval [k delta, (k+1) delta), so the state after
     consuming it sits at (k+1) delta.  Times are step-count multiples of
     delta rather than a running float sum.  Returns the initial state
     followed by one state per sample.
+
+    Equivalent to folding `step` over the trace (the reference path), up to
+    rounding: the states are summed in chunks (see _chunked_states), not one
+    step at a time.
     """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ArgumentError(f"a must be a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    delta = trace.delta
-    states = [MemoryState(coeffs=np.zeros(n), t=0.0)]
-    coeffs = states[0].coeffs
-    u_prev = 0.0
-    for k, u in enumerate(trace.values):
-        coeffs = _apply_step(coeffs, a, b_model, float(u), u_prev)
-        states.append(MemoryState(coeffs=coeffs, t=(k + 1) * delta))
-        u_prev = float(u)
-    return states
+    u = trace.values
+    if isinstance(b_model, FohVectors):
+        columns = (b_model.v_next, b_model.v_prev)
+        inputs = np.column_stack([u, np.concatenate(([0.0], u[:-1]))])
+    else:
+        columns = (b_model,)
+        inputs = u[:, None]
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    if any(col.shape != (n,) for col in columns):
+        shapes = [col.shape for col in columns]
+        raise ArgumentError(f"b_model vectors must have shape ({n},) to match a, got {shapes}")
+    # An unstable a overflows; that is reported below as the first bad state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _chunked_states(a, np.column_stack(columns), inputs)
+    finite = np.isfinite(coeffs).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ArgumentError(
+            f"coeffs must be finite: state {k} (t={k * trace.delta!r}) is the first non-finite one"
+        )
+    return Trajectory(coeffs, trace.delta)
+
+
+def _chunked_states(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows x_0 = 0, x_1, ..., x_L of x_{k+1} = a x_k + b w_k.
+
+    b is (N, m) and w is (L, m).  The steps are cut into chunks of K; chunk c
+    starts from s_c = x_{cK}, and inside it
+        x_{cK+j+1} = a^{j+1} s_c + sum_{i<=j} a^{j-i} b w_{cK+i}.
+    The chunk starts come from a serial recurrence with a^K (L/K mat-vecs);
+    then one GEMM, [s_c | w_{cK..cK+K-1}] @ [a^{j+1}^T ; Toeplitz(a^{j-i} b)^T],
+    fills every state.  K = clamp(L // N, 1, 32) keeps the powers and the
+    GEMM operands no larger than the trajectory itself.
+    """
+    steps, m = w.shape
+    n = a.shape[0]
+    k = min(_MAX_CHUNK, max(1, steps // n))
+    chunks = -(-steps // k)
+
+    powers = np.empty((k + 1, n, n))
+    powers[0] = np.eye(n)
+    for j in range(k):
+        powers[j + 1] = a @ powers[j]
+    kernel = powers[:k] @ b
+
+    # Column block j of rhs yields state cK+j+1 of chunk c.
+    rhs = np.zeros((n + k * m, k * n))
+    rhs[:n] = powers[1:].transpose(2, 0, 1).reshape(n, k * n)
+    toeplitz = rhs[n:].reshape(k, m, k, n)
+    i, j = np.triu_indices(k)
+    toeplitz[i, :, j, :] = kernel[j - i].transpose(0, 2, 1)
+
+    padded = np.zeros((chunks * k, m))
+    padded[:steps] = w
+    lhs = np.zeros((chunks, n + k * m))
+    lhs[:, n:] = padded.reshape(chunks, k * m)
+    drive = lhs[:, n:] @ rhs[n:, (k - 1) * n :]
+    a_k = powers[k].T
+    for c in range(chunks - 1):
+        lhs[c + 1, :n] = lhs[c, :n] @ a_k + drive[c]
+
+    out = np.empty((chunks * k + 1, n))
+    out[0] = 0.0
+    np.matmul(lhs, rhs, out=out[1:].reshape(chunks, k * n))
+    return out[: steps + 1]
 
 
 def reconstruct(
@@ -166,27 +270,3 @@ def project_direct(
         raise DomainError(f"signal non-finite at s={bad!r}")
     coeffs = phi_matrix(basis, z) @ (w * vals)
     return MemoryState(coeffs=coeffs, t=t)
-
-
-def save_trajectory_csv(path, states: list[MemoryState]) -> None:
-    """Columns t, c_0 ... c_{N-1}."""
-    n = states[0].coeffs.size
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"c_{i}" for i in range(n)])
-        for st in states:
-            writer.writerow([repr(float(st.t))] + [repr(float(c)) for c in st.coeffs])
-
-
-def save_reconstruction_csv(path, s_grid, u_hat, u_true=None, omega=None) -> None:
-    """Columns s, u_hat, then u_true and omega when available."""
-    cols = [("s", np.asarray(s_grid, float)), ("u_hat", np.asarray(u_hat, float))]
-    if u_true is not None:
-        cols.append(("u_true", np.asarray(u_true, float)))
-    if omega is not None:
-        cols.append(("omega", np.asarray(omega, float)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in cols])
-        for i in range(len(cols[0][1])):
-            writer.writerow([repr(float(col[i])) for _, col in cols])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagssm import (
     ArgumentError,
@@ -17,6 +19,8 @@ from lagssm import (
     build_b_gen,
     correct_a_delta,
     eval_phi,
+    hippo_legs_reference,
+    matrix_exp,
     project_direct,
     reconstruct,
     run,
@@ -227,41 +231,11 @@ class TestSignalTrace:
         with pytest.raises(ArgumentError):
             MemoryState(coeffs=np.array([np.inf, 1.0]), t=0.0)
 
-
-class TestCsvHelpers:
-    def test_trajectory_columns(self, tmp_path):
-        from lagssm.recurrence import save_trajectory_csv
-
-        states = [
-            MemoryState(coeffs=np.array([1.0, 2.0]), t=0.0),
-            MemoryState(coeffs=np.array([3.0, 4.0]), t=0.5),
-        ]
-        path = tmp_path / "traj.csv"
-        save_trajectory_csv(path, states)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,c_0,c_1"
-        assert lines[1] == "0.0,1.0,2.0"
-        assert lines[2] == "0.5,3.0,4.0"
-
-    def test_reconstruction_columns(self, tmp_path):
-        from lagssm.recurrence import save_reconstruction_csv
-
-        path = tmp_path / "rec.csv"
-        s = np.array([0.0, 1.0])
-        save_reconstruction_csv(
-            path, s, u_hat=np.array([0.1, 0.2]), u_true=np.array([0.0, 0.25]),
-            omega=np.array([0.3, 1.0]),
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "s,u_hat,u_true,omega"
-        assert len(lines) == 3
-
-    def test_reconstruction_columns_optional(self, tmp_path):
-        from lagssm.recurrence import save_reconstruction_csv
-
-        path = tmp_path / "rec.csv"
-        save_reconstruction_csv(path, [0.0], u_hat=[0.1])
-        assert path.read_text().splitlines()[0] == "s,u_hat"
+    def test_non_finite_samples_rejected(self):
+        with pytest.raises(ArgumentError, match="values must be finite; sample 1"):
+            SignalTrace.from_values(np.array([0.0, np.nan, 1.0]), delta=0.1)
+        with pytest.raises(ArgumentError, match="times must be finite; sample 2"):
+            SignalTrace(times=np.array([0.0, 0.1, np.inf]), values=np.zeros(3), delta=0.1)
 
 
 class TestFohRun:
@@ -280,3 +254,123 @@ class TestFohRun:
             devs[delta] = np.linalg.norm(foh_final.coeffs - zoh_final.coeffs)
         assert 0.0 < devs[0.01] <= 5e-2
         assert devs[0.01] / devs[0.005] == pytest.approx(2.0, rel=0.25)
+
+
+def step_fold(trace, a, b_model):
+    """Reference path: fold `step` over the trace, stacking every state."""
+    state = MemoryState(coeffs=np.zeros(a.shape[0]), t=0.0)
+    rows, u_prev = [state.coeffs], 0.0
+    for u in trace.values:
+        state = step(state, a, b_model, float(u), u_prev, delta=trace.delta)
+        rows.append(state.coeffs)
+        u_prev = float(u)
+    return np.array(rows)
+
+
+def rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestRunMatchesStepFold:
+    """`run` sums the states in chunks; it must agree with the step fold to
+    1e-12 relative, with lengths on and off the chunk boundaries."""
+
+    @pytest.mark.parametrize("model", ["dirac", "zoh", "foh"])
+    @pytest.mark.parametrize("n", [1, 8, 64, 128])
+    def test_hold_models(self, model, n):
+        delta = 0.01
+        a = coefficient_transition(BasisSpec(n_basis=n), delta)
+        b = build_b_delta(BasisSpec(n_basis=n), W, delta, model, QUAD)
+        rng = np.random.default_rng(n)
+        for length in (1, 2, 31, 32, 33, 1000):
+            trace = SignalTrace.from_values(rng.standard_normal(length), delta)
+            assert rel_gap(run(trace, a, b).coeffs, step_fold(trace, a, b)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 48),
+        length=st.integers(1, 300),
+        delta=st.floats(1e-3, 0.5),
+        foh=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_sizes(self, n, length, delta, foh, seed):
+        ref = hippo_legs_reference(n)
+        a = matrix_exp(delta * ref.a_hippo)
+        b = delta * ref.b_hippo
+        if foh:
+            b = FohVectors(v_next=0.5 * b, v_prev=0.5 * b)
+        rng = np.random.default_rng(seed)
+        trace = SignalTrace.from_values(rng.standard_normal(length), delta)
+        assert rel_gap(run(trace, a, b).coeffs, step_fold(trace, a, b)) <= 1e-12
+
+
+class TestTrajectoryView:
+    def setup_method(self):
+        self.delta, self.length = 0.01, 100
+        trace = SignalTrace.from_values(np.sin(np.arange(self.length)), self.delta)
+        self.states = run(trace, np.eye(3) * 0.9, np.array([1.0, 0.5, 0.25]))
+
+    def test_length_and_shape(self):
+        assert len(self.states) == self.length + 1
+        assert self.states.coeffs.shape == (self.length + 1, 3)
+
+    def test_items_are_states_at_step_times(self):
+        for k, state in enumerate(self.states):
+            assert state.t == k * self.delta
+            np.testing.assert_array_equal(state.coeffs, self.states.coeffs[k])
+        assert k == self.length
+
+    def test_negative_indexing(self):
+        last = self.states[-1]
+        assert last.t == self.length * self.delta
+        np.testing.assert_array_equal(last.coeffs, self.states.coeffs[self.length])
+        assert self.states[-(self.length + 1)].t == 0.0
+        with pytest.raises(IndexError):
+            self.states[self.length + 1]
+        with pytest.raises(IndexError):
+            self.states[-(self.length + 2)]
+
+    def test_slices(self):
+        picked = self.states[10:40:10]
+        assert [s.t for s in picked] == [k * self.delta for k in (10, 20, 30)]
+        np.testing.assert_array_equal(picked[1].coeffs, self.states.coeffs[20])
+        assert [s.t for s in self.states[-2:]] == [99 * self.delta, 100 * self.delta]
+        assert self.states[5:5] == []
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            self.states.coeffs[0, 0] = 1.0
+        item = self.states[3]
+        item.coeffs[0] = 1e9
+        assert self.states.coeffs[3, 0] != 1e9
+
+
+class TestRunErrors:
+    def test_unstable_transition_names_first_non_finite_state(self):
+        a, b = 2.0 * np.eye(3), np.ones(3)
+        trace = SignalTrace.from_values(np.ones(2000), delta=0.01)
+        # the reference fold: count the steps until a state overflows
+        state, first_bad = MemoryState(coeffs=np.zeros(3), t=0.0), None
+        with np.errstate(over="ignore"):
+            for k in range(1, 2001):
+                try:
+                    state = step(state, a, b, 1.0, delta=0.01)
+                except ArgumentError:
+                    first_bad = k
+                    break
+        assert first_bad == 1024
+        with pytest.raises(ArgumentError, match=f"coeffs must be finite: state {first_bad} "):
+            run(trace, a, b)
+
+    def test_non_square_transition(self):
+        trace = SignalTrace.from_values(np.ones(5), delta=0.1)
+        with pytest.raises(ArgumentError, match="square"):
+            run(trace, np.ones((3, 4)), np.ones(3))
+
+    def test_input_vector_length_mismatch(self):
+        trace = SignalTrace.from_values(np.ones(5), delta=0.1)
+        with pytest.raises(ArgumentError, match="shape"):
+            run(trace, np.eye(3), np.ones(4))
+        with pytest.raises(ArgumentError, match="shape"):
+            run(trace, np.eye(3), FohVectors(v_next=np.ones(3), v_prev=np.ones(2)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lagssm import ArgumentError, LorenzParams, lorenz63, normalize_trace, sine_mixture, zoh_function
+from lagssm import ArgumentError, LorenzParams, NumericError, lorenz63, normalize_trace, sine_mixture, zoh_function
 from lagssm.signals import lorenz_rhs, rk4_step
 
 
@@ -82,6 +82,24 @@ def test_dt_guard():
         LorenzParams(dt=0.05)
     with pytest.raises(ArgumentError):
         LorenzParams(steps=0)
+
+
+def test_lorenz63_matches_rk4_step_fold():
+    """lorenz63 runs rk4_step's arithmetic on floats: the output must be
+    bit-identical to folding rk4_step, burn-in included."""
+    params = LorenzParams(x0=(0.3, -1.2, 20.0), dt=0.015, steps=700, burn_in=123)
+    state = np.asarray(params.x0, dtype=float)
+    expect = []
+    for i in range(params.burn_in + params.steps):
+        state = rk4_step(state, params.dt, params.sigma, params.rho, params.beta)
+        if i >= params.burn_in:
+            expect.append(state[0])
+    assert np.array_equal(lorenz63(params).values, np.array(expect))
+
+
+def test_lorenz63_divergence_names_step():
+    with pytest.raises(NumericError, match="diverged at step 0"):
+        lorenz63(LorenzParams(x0=(1e200, 1e200, 1e200), steps=10, burn_in=0))
 
 
 def test_trace_shape_and_timestamps():

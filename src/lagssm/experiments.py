@@ -14,10 +14,9 @@ compared with, or run against, anything built from a_hippo.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -128,28 +127,34 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        kwargs = {}
-        for key in ("n_basis", "delta", "total_time", "input_model", "output_dir"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        if "warp" in raw:
-            w = raw["warp"]
-            kwargs["warp"] = WarpSpec(
-                family=w.get("family", "exponential"), rate=w.get("rate", 1.0)
-            )
-        if "quadrature" in raw:
-            q = raw["quadrature"]
+        """Config from parsed JSON; an unknown key at any level is an error."""
+        kwargs = _fields_of(cls, raw, "config")
+        if "warp" in kwargs:
+            kwargs["warp"] = WarpSpec(**_fields_of(WarpSpec, kwargs["warp"], "warp"))
+        if "quadrature" in kwargs:
             kwargs["quadrature"] = QuadratureConfig(
-                points_per_panel=q.get("points_per_panel", 64),
-                panels=q.get("panels", 8),
+                **_fields_of(QuadratureConfig, kwargs["quadrature"], "quadrature")
             )
-        if "signal" in raw:
-            s = dict(raw["signal"])
+        if "signal" in kwargs:
+            s = _fields_of(SignalConfig, kwargs["signal"], "signal")
             for tup in ("x0", "freqs", "amps", "phases"):
                 if tup in s:
                     s[tup] = tuple(s[tup])
             kwargs["signal"] = SignalConfig(**s)
         return cls(**kwargs)
+
+
+def _fields_of(cls, raw, section: str) -> dict:
+    """A copy of raw after checking that every key names a field of cls."""
+    if not isinstance(raw, dict):
+        raise ArgumentError(f"{section} must be a JSON object, got {raw!r}")
+    allowed = [f.name for f in fields(cls)]
+    unknown = [key for key in raw if key not in allowed]
+    if unknown:
+        raise ArgumentError(
+            f"unknown {section} key {unknown[0]!r}; expected one of {allowed}"
+        )
+    return dict(raw)
 
 
 def make_signal(cfg: ExperimentConfig) -> SignalTrace:
@@ -184,12 +189,12 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
     raise ArgumentError(f"unknown signal kind {sig.kind!r}")
 
 
-def _write_table(path, header: list[str], rows: list[list[float]]) -> None:
+def _write_table(path, header: list[str], table) -> None:
+    """CSV in csv.writer's excel layout; floats in shortest-round-trip repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
+        fh.write(",".join(header) + "\r\n")
+        for row in np.asarray(table, dtype=float).tolist():
+            fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def _coefficient_transition(cfg: ExperimentConfig, delta: float) -> np.ndarray:
@@ -308,13 +313,11 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
     omega = measure(cfg.warp, t_end, s_grid)
     mse = float(np.mean((rec_model - rec_base) ** 2))
 
-    with open(os.path.join(cfg.output_dir, "recon.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "u_model", "u_baseline", "omega"])
-        for i in range(s_grid.size):
-            writer.writerow(
-                [repr(float(v)) for v in (s_grid[i], rec_model[i], rec_base[i], omega[i])]
-            )
+    _write_table(
+        os.path.join(cfg.output_dir, "recon.csv"),
+        ["s", "u_model", "u_baseline", "omega"],
+        np.column_stack([s_grid, rec_model, rec_base, omega]),
+    )
     summary = {
         "mse": mse,
         "n_basis": cfg.n_basis,
@@ -363,7 +366,7 @@ def cmd_lagshift(
     _write_table(
         os.path.join(cfg.output_dir, "lagshift.csv"),
         ["s", "original", "shifted"],
-        [[s_grid[i], original[i], shifted[i]] for i in range(s_grid.size)],
+        np.column_stack([s_grid, original, shifted]),
     )
     ok = bool(np.all(np.isfinite(shifted)))
     return [

@@ -13,14 +13,19 @@ experiment drivers).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSpec, boundary_values, phi_matrix, phi_deriv_matrix
+from .basis import (
+    MAX_BASIS_SIZE,
+    BasisSpec,
+    boundary_values,
+    phi_deriv_matrix,
+    phi_matrix,
+)
 from .errors import ArgumentError, NumericError
 from .quadrature import QuadratureConfig, panel_nodes
 from .warp import WarpSpec, lag
@@ -110,8 +115,8 @@ def hippo_legs_reference(n_basis: int) -> HippoReference:
     a_hippo is lower triangular with diagonal -(n+1) and subdiagonal
     entries -sqrt((2n+1)(2m+1)); b_hippo has entries sqrt(2n+1).
     """
-    if not (1 <= n_basis <= 256):
-        raise ArgumentError(f"n_basis must be in [1, 256], got {n_basis}")
+    if not (1 <= n_basis <= MAX_BASIS_SIZE):
+        raise ArgumentError(f"n_basis must be in [1, {MAX_BASIS_SIZE}], got {n_basis}")
     n = np.arange(n_basis)
     root = np.sqrt(2.0 * n + 1.0)
     a0 = np.tril(np.outer(root, root), -1) + np.diag(n.astype(float))
@@ -364,19 +369,37 @@ def compose_block_diagonal(
 
 
 def save_matrices_json(path, arrays: dict, meta: dict) -> None:
-    """Write named arrays with a schema-versioned metadata header.
+    """Write named arrays (str keys) with a schema-versioned metadata header.
 
-    Floats go through Python's shortest-round-trip repr, so a load returns
-    bit-identical values.
+    The file has json.dump(payload, fh, indent=1)'s layout, but is written
+    one array row at a time through the C encoder.  Floats go through
+    Python's shortest-round-trip repr, so a load returns bit-identical
+    values.
     """
-    payload = {
-        "schema_version": MATRIX_SCHEMA_VERSION,
-        "meta": meta,
-        "matrices": {k: np.asarray(v).tolist() for k, v in arrays.items()},
-    }
+    head = json.dumps({"schema_version": MATRIX_SCHEMA_VERSION, "meta": meta}, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(head[: -len("\n}")] + ',\n "matrices": {')
+        for i, (name, value) in enumerate(arrays.items()):
+            fh.write(("," if i else "") + "\n  " + json.dumps(name) + ": ")
+            _write_json_array(fh, np.asarray(value), 2)
+        fh.write("\n }\n}\n" if arrays else "}\n}\n")
+
+
+def _write_json_array(fh, a: np.ndarray, level: int) -> None:
+    """Write a.tolist() as json.dump(indent=1) would at nesting depth level."""
+    if a.ndim == 0 or len(a) == 0:
+        fh.write(json.dumps(a.tolist()))
+        return
+    inner = "\n" + " " * (level + 1)
+    if a.ndim == 1:
+        items = json.dumps(a.tolist(), separators=("," + inner, ": "))
+        fh.write("[" + inner + items[1:-1] + "\n" + " " * level + "]")
+        return
+    fh.write("[")
+    for i, sub in enumerate(a):
+        fh.write(("," if i else "") + inner)
+        _write_json_array(fh, sub, level + 1)
+    fh.write("\n" + " " * level + "]")
 
 
 def load_matrices_json(path) -> tuple[dict, dict]:
@@ -389,13 +412,3 @@ def load_matrices_json(path) -> tuple[dict, dict]:
         )
     arrays = {k: np.asarray(v, dtype=float) for k, v in payload["matrices"].items()}
     return arrays, payload["meta"]
-
-
-def save_matrix_csv(path, m: np.ndarray, meta: dict) -> None:
-    """One CSV row per matrix row, preceded by a '#' metadata record."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# " + ", ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        writer = csv.writer(fh)
-        for row in m:
-            writer.writerow([repr(float(x)) for x in row])

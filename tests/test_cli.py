@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lagssm.cli import main
+from lagssm.errors import ArgumentError
 from lagssm.experiments import (
     ExperimentConfig,
     SignalConfig,
@@ -177,6 +178,12 @@ class TestMatricesCommand:
         )
         np.testing.assert_array_equal(arrays["a_delta"], rebuilt)
 
+    def test_file_has_json_dump_layout(self, tmp_path):
+        """The streamed file is laid out as json.dump(..., indent=1) would."""
+        assert main(["matrices", "--out", str(tmp_path), "--n", "5"]) == 0
+        text = (tmp_path / "matrices.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -215,3 +222,35 @@ class TestConfigHandling:
         arrays, meta = load_matrices_json(tmp_path / "matrices.json")
         assert meta["tau"] == 2.0
         np.testing.assert_allclose(arrays["b_gen"], np.sqrt(2 * np.arange(4) + 1) / 2.0)
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"nbasis": 8}, "nbasis"),
+            ({"warp": {"tau": 3}}, "tau"),
+            ({"quadrature": {"points": 16}}, "points"),
+            ({"signal": {"kindd": 1}}, "kindd"),
+        ],
+    )
+    def test_unknown_key_is_an_error(self, tmp_path, capsys, raw, key):
+        with pytest.raises(ArgumentError, match=repr(key)):
+            ExperimentConfig.from_dict(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code = main(["matrices", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: unknown")
+        assert not (tmp_path / "matrices.json").exists()
+
+    def test_every_documented_key_is_accepted(self):
+        cfg = ExperimentConfig.from_dict(
+            {
+                "n_basis": 8,
+                "warp": {"family": "exponential", "rate": 2.0},
+                "quadrature": {"points_per_panel": 32, "panels": 4},
+                "signal": {"kind": "lorenz", "x0": [1.5, 1.0, 1.0], "burn_in": 3},
+            }
+        )
+        assert cfg.warp.rate == 2.0
+        assert cfg.quadrature.panels == 4
+        assert cfg.signal.x0 == (1.5, 1.0, 1.0)

@@ -1,5 +1,7 @@
 """Matrix builders: generators, discrete transitions, hold models, tools."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,11 @@ from lagssm import (
     hippo_legs_reference,
     matrix_exp,
 )
-from lagssm.matrices import load_matrices_json, save_matrices_json, save_matrix_csv
+from lagssm.matrices import (
+    MATRIX_SCHEMA_VERSION,
+    load_matrices_json,
+    save_matrices_json,
+)
 
 W = WarpSpec()
 QUAD = QuadratureConfig()
@@ -441,13 +447,38 @@ class TestSerialization:
         for key, val in arrays.items():
             np.testing.assert_array_equal(loaded[key], np.asarray(val))
 
-    def test_csv_has_metadata_record(self, tmp_path):
-        path = tmp_path / "m.csv"
-        save_matrix_csv(path, np.eye(2), {"n_basis": 2, "delta": 0.5})
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# ")
-        assert "n_basis=2" in lines[0]
-        assert len(lines) == 3
+    @staticmethod
+    def assert_json_dump_layout(path, arrays, meta):
+        """The file equals json.dump(payload, fh, indent=1) plus a newline."""
+        payload = {
+            "schema_version": MATRIX_SCHEMA_VERSION,
+            "meta": meta,
+            "matrices": {k: np.asarray(v).tolist() for k, v in arrays.items()},
+        }
+        save_matrices_json(path, arrays, meta)
+        expected = json.dumps(payload, indent=1) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_layout_matches_json_dump(self, tmp_path, n):
+        specials = [np.inf, -np.inf, np.nan, -0.0, 1e-300]
+        m = np.random.default_rng(n).standard_normal((n, n))
+        m.flat[: len(specials)] = specials[: m.size]
+        v = np.resize(np.array(specials), n)
+        meta = {"n_basis": n, "delta": 0.01, "tau": 1.0, "note": "a, b"}
+        self.assert_json_dump_layout(tmp_path / "m.json", {"m": m, "v": v}, meta)
+
+    def test_layout_of_empty_arrays_dict(self, tmp_path):
+        self.assert_json_dump_layout(tmp_path / "m.json", {}, {"n_basis": 0})
+
+    def test_layout_of_edge_shapes(self, tmp_path):
+        arrays = {
+            "scalar": np.float64(1.5),
+            "empty": np.zeros(0),
+            "no_columns": np.zeros((2, 0)),
+            "cube": np.arange(8).reshape(2, 2, 2),
+        }
+        self.assert_json_dump_layout(tmp_path / "m.json", arrays, {})
 
 
 def test_build_discrete_bundle():

@@ -7,7 +7,7 @@ instance reproduces the closed-form HiPPO-LegS system, and the package
 ships the harness that checks this numerically.
 """
 
-from .basis import BasisSpec, boundary_values, eval_phi, eval_phi_all, eval_phi_deriv
+from .basis import BasisSpec, boundary_values, eval_phi, eval_phi_deriv
 from .errors import (
     ArgumentError,
     DomainError,
@@ -17,9 +17,7 @@ from .errors import (
 )
 from .experiments import ExperimentConfig, SignalConfig
 from .matrices import (
-    DiscreteMatrices,
     FohVectors,
-    GeneratorMatrices,
     HippoReference,
     backward_shift,
     bilinear_discretize,
@@ -27,8 +25,6 @@ from .matrices import (
     build_a_gen,
     build_b_delta,
     build_b_gen,
-    build_discrete,
-    build_generator,
     compose_block_diagonal,
     correct_a_delta,
     frobenius_rel_diff,
@@ -52,12 +48,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentError",
     "BasisSpec",
-    "DiscreteMatrices",
     "DomainError",
     "EvaluationError",
     "ExperimentConfig",
     "FohVectors",
-    "GeneratorMatrices",
     "HippoReference",
     "LagssmError",
     "LorenzParams",
@@ -74,12 +68,9 @@ __all__ = [
     "build_a_gen",
     "build_b_delta",
     "build_b_gen",
-    "build_discrete",
-    "build_generator",
     "compose_block_diagonal",
     "correct_a_delta",
     "eval_phi",
-    "eval_phi_all",
     "eval_phi_deriv",
     "frobenius_rel_diff",
     "gauss_rule",

@@ -9,6 +9,7 @@ evaluate them slightly beyond 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,6 +30,8 @@ class BasisSpec:
     def __post_init__(self):
         if self.family != LEGENDRE_SHIFTED:
             raise ArgumentError(f"unknown basis family: {self.family!r}")
+        if isinstance(self.n_basis, bool) or not isinstance(self.n_basis, Integral):
+            raise ArgumentError(f"n_basis must be an integer, got {self.n_basis!r}")
         if not (1 <= self.n_basis <= MAX_BASIS_SIZE):
             raise ArgumentError(
                 f"n_basis must be in [1, {MAX_BASIS_SIZE}], got {self.n_basis}"
@@ -40,51 +43,32 @@ def _check_index(spec: BasisSpec, n: int) -> None:
         raise ArgumentError(f"basis index {n} out of range [0, {spec.n_basis})")
 
 
+def _legendre_stack(n: int, x: np.ndarray) -> np.ndarray:
+    """Unnormalized P_0..P_{n-1} at x on [-1, 1], shape (n, len(x)).
+
+    The package's one copy of the three-term recurrence
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.
+    """
+    out = np.empty((n, x.size))
+    out[0] = 1.0
+    if n > 1:
+        out[1] = x
+    for k in range(1, n - 1):
+        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
+    return out
+
+
 def eval_phi(spec: BasisSpec, n: int, z: float) -> float:
-    """Evaluate phi_n(z) by the three-term Legendre recurrence."""
+    """phi_n(z) at a scalar z: the last entry of phi_matrix up to mode n."""
     _check_index(spec, n)
-    x = 2.0 * z - 1.0
-    p_prev, p = 1.0, x
-    if n == 0:
-        return 1.0
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return np.sqrt(2.0 * n + 1.0) * p
+    return phi_matrix(BasisSpec(n_basis=n + 1), z)[n, 0]
 
 
 def eval_phi_deriv(spec: BasisSpec, n: int, z: float) -> float:
-    """Evaluate d(phi_n)/dz.
-
-    Uses P'_n(x) = n (x P_n - P_{n-1}) / (x^2 - 1); at x = +-1 that ratio
-    is replaced by its limit (+-1)^(n-1) n(n+1)/2.
-    """
+    """d(phi_n)/dz at a scalar z: the last entry of phi_deriv_matrix up to
+    mode n."""
     _check_index(spec, n)
-    if n == 0:
-        return 0.0
-    x = 2.0 * z - 1.0
-    scale = 2.0 * np.sqrt(2.0 * n + 1.0)
-    if x == 1.0 or x == -1.0:
-        sign = 1.0 if x == 1.0 else (-1.0) ** (n - 1)
-        return scale * sign * n * (n + 1) / 2.0
-    p_prev, p = 1.0, x
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return scale * n * (x * p - p_prev) / (x * x - 1.0)
-
-
-def eval_phi_all(spec: BasisSpec, z: float) -> np.ndarray:
-    """All N basis values at z in one recurrence pass."""
-    n = spec.n_basis
-    x = 2.0 * z - 1.0
-    out = np.empty(n)
-    p_prev, p = 1.0, x
-    out[0] = 1.0
-    if n > 1:
-        out[1] = np.sqrt(3.0) * p
-    for k in range(1, n - 1):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        out[k + 1] = np.sqrt(2.0 * (k + 1) + 1.0) * p
-    return out
+    return phi_deriv_matrix(BasisSpec(n_basis=n + 1), z)[n, 0]
 
 
 def boundary_values(spec: BasisSpec) -> np.ndarray:
@@ -93,38 +77,25 @@ def boundary_values(spec: BasisSpec) -> np.ndarray:
 
 
 def phi_matrix(spec: BasisSpec, z: np.ndarray) -> np.ndarray:
-    """Stack of basis values, shape (N, len(z)).  Vectorized eval_phi_all."""
+    """Stack of basis values phi_0..phi_{N-1} at z, shape (N, len(z))."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    n = spec.n_basis
-    x = 2.0 * z - 1.0
-    out = np.empty((n, z.size))
-    out[0] = 1.0
-    if n > 1:
-        out[1] = x
-    for k in range(1, n - 1):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    return out * np.sqrt(2.0 * np.arange(n) + 1.0)[:, None]
+    p = _legendre_stack(spec.n_basis, 2.0 * z - 1.0)
+    return p * boundary_values(spec)[:, None]
 
 
 def phi_deriv_matrix(spec: BasisSpec, z: np.ndarray) -> np.ndarray:
     """Stack of basis derivatives, shape (N, len(z)).
 
-    Built from the derivative three-term recurrence
-    P'_{k+1} = P'_{k-1} + (2k+1) P_k, which needs no endpoint special case;
-    the scalar eval_phi_deriv stays on the ratio form so both are available
-    for cross-checks.
+    Runs the derivative recurrence P'_{k+1} = P'_{k-1} + (2k+1) P_k over
+    the value stack; it needs no special case at the endpoints x = +-1.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     n = spec.n_basis
-    x = 2.0 * z - 1.0
-    p = np.empty((n, z.size))
-    dp = np.empty((n, z.size))
-    p[0] = 1.0
+    p = _legendre_stack(n, 2.0 * z - 1.0)
+    dp = np.empty_like(p)
     dp[0] = 0.0
     if n > 1:
-        p[1] = x
         dp[1] = 1.0
     for k in range(1, n - 1):
-        p[k + 1] = ((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1)
         dp[k + 1] = dp[k - 1] + (2 * k + 1) * p[k]
-    return 2.0 * dp * np.sqrt(2.0 * np.arange(n) + 1.0)[:, None]
+    return 2.0 * dp * boundary_values(spec)[:, None]

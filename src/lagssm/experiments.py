@@ -23,6 +23,7 @@ import numpy as np
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import (
+    DIRAC,
     FohVectors,
     INPUT_MODELS,
     ZOH,
@@ -114,6 +115,7 @@ class ExperimentConfig:
         # operator; signal-driven commands reject it when they divide by it.
         if self.delta < 0.0 or self.total_time <= 0.0:
             raise ArgumentError("delta must be nonnegative and total_time positive")
+        BasisSpec(n_basis=self.n_basis)  # checks n_basis now, not at first use
 
     @property
     def basis(self) -> BasisSpec:
@@ -121,27 +123,40 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ArgumentError(f"cannot read config file {str(path)!r}: {exc}") from exc
         return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Config from parsed JSON; an unknown key at any level is an error."""
+        """Config from parsed JSON.  An unknown key at any level, or a value
+        of the wrong type, is an ArgumentError naming its section."""
         kwargs = _fields_of(cls, raw, "config")
         if "warp" in kwargs:
-            kwargs["warp"] = WarpSpec(**_fields_of(WarpSpec, kwargs["warp"], "warp"))
+            kwargs["warp"] = _build(WarpSpec, kwargs["warp"], "warp")
         if "quadrature" in kwargs:
-            kwargs["quadrature"] = QuadratureConfig(
-                **_fields_of(QuadratureConfig, kwargs["quadrature"], "quadrature")
-            )
+            kwargs["quadrature"] = _build(QuadratureConfig, kwargs["quadrature"], "quadrature")
         if "signal" in kwargs:
-            s = _fields_of(SignalConfig, kwargs["signal"], "signal")
-            for tup in ("x0", "freqs", "amps", "phases"):
-                if tup in s:
-                    s[tup] = tuple(s[tup])
-            kwargs["signal"] = SignalConfig(**s)
+            kwargs["signal"] = _build(
+                SignalConfig, kwargs["signal"], "signal", ("x0", "freqs", "amps", "phases")
+            )
+        return _build(cls, kwargs, "config")
+
+
+def _build(cls, raw, section: str, tuples=()):
+    """cls(**raw), with the fields named in tuples turned from JSON lists
+    into tuples; a value of the wrong type raises ArgumentError."""
+    kwargs = _fields_of(cls, raw, section)
+    try:
+        for name in tuples:
+            if name in kwargs:
+                kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
+    except TypeError as exc:
+        raise ArgumentError(f"wrong value type in {section}: {exc}") from exc
 
 
 def _fields_of(cls, raw, section: str) -> dict:
@@ -286,10 +301,22 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
 
 
 def _model_and_baseline(cfg: ExperimentConfig):
-    """The exact lag-operator recurrence and the Tustin-discretized reference,
-    both in coefficient orientation."""
+    """The exact lag-operator recurrence with cfg.input_model's input vector(s)
+    and the Tustin-discretized reference, both in coefficient orientation.
+
+    The Dirac vector phi_n(1)|f'(0)| carries no factor of delta, so a
+    recurrence driven by it does not integrate sampled input and has no
+    Tustin baseline to meet; it is refused.
+    """
+    if cfg.input_model == DIRAC:
+        raise ArgumentError(
+            "reconstruct needs a sampled-input hold model (zoh or foh); "
+            "input model 'dirac' has no Tustin baseline"
+        )
     a_model = _coefficient_transition(cfg, cfg.delta)
-    b_model = build_b_delta(cfg.basis, cfg.warp, cfg.delta, ZOH, cfg.quadrature)
+    b_model = build_b_delta(
+        cfg.basis, cfg.warp, cfg.delta, cfg.input_model, cfg.quadrature
+    )
     ref = hippo_legs_reference(cfg.n_basis)
     a_base, b_base = bilinear_discretize(ref.a_hippo, ref.b_hippo, cfg.delta)
     return (a_model, b_model), (a_base, b_base)

@@ -51,27 +51,6 @@ class FohVectors(NamedTuple):
 
 
 @dataclass(frozen=True)
-class GeneratorMatrices:
-    """Continuous-time generator pair for a basis/warp choice."""
-
-    a_gen: np.ndarray
-    b_gen: np.ndarray
-    basis: BasisSpec
-    warp: WarpSpec
-
-
-@dataclass(frozen=True)
-class DiscreteMatrices:
-    """Step-size-dependent transition and input data."""
-
-    delta: float
-    a_delta: np.ndarray
-    a_corrected: np.ndarray
-    b_delta: np.ndarray | FohVectors
-    input_model: str
-
-
-@dataclass(frozen=True)
 class HippoReference:
     """Closed-form HiPPO-LegS state and input matrices (no quadrature)."""
 
@@ -95,18 +74,6 @@ def build_a_gen(
 def build_b_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
     """Input generator phi_n(1) * f'(0); closed form, no quadrature."""
     return boundary_values(basis) * warp.f_prime(0.0)
-
-
-def build_generator(
-    basis: BasisSpec, warp: WarpSpec, quad: QuadratureConfig = QuadratureConfig()
-) -> GeneratorMatrices:
-    """Bundle the continuous-time pair with the specs that produced it."""
-    return GeneratorMatrices(
-        a_gen=build_a_gen(basis, warp, quad),
-        b_gen=build_b_gen(basis, warp),
-        basis=basis,
-        warp=warp,
-    )
 
 
 def hippo_legs_reference(n_basis: int) -> HippoReference:
@@ -224,25 +191,6 @@ def build_b_delta(
         return i1
     ig = phi @ (w * warp.g(z))
     return FohVectors(v_next=i1 + ig / delta, v_prev=-ig / delta)
-
-
-def build_discrete(
-    basis: BasisSpec,
-    warp: WarpSpec,
-    delta: float,
-    model: str = ZOH,
-    quad: QuadratureConfig = QuadratureConfig(),
-    max_condition: float | None = DEFAULT_MAX_CONDITION,
-) -> DiscreteMatrices:
-    """Convenience bundle: a_delta, its correction, and the input vector(s)."""
-    a_d = build_a_delta(basis, warp, delta, quad)
-    return DiscreteMatrices(
-        delta=delta,
-        a_delta=a_d,
-        a_corrected=correct_a_delta(a_d, delta, max_condition=max_condition),
-        b_delta=build_b_delta(basis, warp, delta, model, quad),
-        input_model=model,
-    )
 
 
 _PADE13_B = (

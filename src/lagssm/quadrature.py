@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _legendre_stack
 from .errors import ArgumentError, EvaluationError
 
 MIN_POINTS, MAX_POINTS = 2, 128
@@ -38,14 +39,10 @@ class QuadratureConfig:
             raise ArgumentError(f"panels must be in [{MIN_PANELS}, {MAX_PANELS}]")
 
 
-def _legendre_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_k(x) and P'_k(x) on [-1, 1] via the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for n in range(1, k):
-        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-    dp = k * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+def _legendre_and_deriv(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_k(x) and P'_k(x) = k (x P_k - P_{k-1}) / (x^2 - 1) off the endpoints."""
+    p_prev, p = _legendre_stack(k + 1, x)[k - 1 :]
+    return p, k * (x * p - p_prev) / (x * x - 1.0)
 
 
 def gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +61,7 @@ def gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(1, k + 1)
     x = np.cos(np.pi * (i - 0.25) / (k + 0.5))
     for _ in range(_NEWTON_MAX_ITER):
-        p, dp = _legendre_pair(k, x)
+        p, dp = _legendre_and_deriv(k, x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < _NEWTON_TOL:
@@ -72,7 +69,7 @@ def gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     # Chebyshev guesses come out descending; enforce exact +- symmetry and
     # ascending order.
     x = 0.5 * (x - x[::-1])
-    _, dp = _legendre_pair(k, x)
+    _, dp = _legendre_and_deriv(k, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     w = 0.5 * (w + w[::-1])
     x = x[::-1].copy()
@@ -119,7 +116,3 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig = QuadratureConfig()
         total += float(np.dot(weights[sl], vals))
     return total
 
-
-def integrate_values(values: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted sum for callers that evaluated the integrand on panel_nodes."""
-    return float(np.dot(weights, values))

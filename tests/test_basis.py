@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
-from lagssm import ArgumentError, BasisSpec, boundary_values, eval_phi, eval_phi_all, eval_phi_deriv
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lagssm import ArgumentError, BasisSpec, boundary_values, eval_phi, eval_phi_deriv
 from lagssm.basis import phi_deriv_matrix, phi_matrix
-from lagssm.quadrature import QuadratureConfig, integrate
+from lagssm.quadrature import QuadratureConfig, gauss_rule, integrate
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -96,20 +100,22 @@ class TestEvalPhiDeriv:
 
 
 class TestEvalPhiAll:
+    """All N basis values at one point: the column phi_matrix(spec, z)[:, 0]."""
+
     def test_boundary_pair(self):
         spec = BasisSpec(n_basis=2)
-        np.testing.assert_allclose(eval_phi_all(spec, 1.0), [1.0, SQRT3], atol=1e-14)
+        np.testing.assert_allclose(phi_matrix(spec, 1.0)[:, 0], [1.0, SQRT3], atol=1e-14)
 
     def test_single_mode(self):
         spec = BasisSpec(n_basis=1)
-        np.testing.assert_array_equal(eval_phi_all(spec, 0.123), [1.0])
+        np.testing.assert_array_equal(phi_matrix(spec, 0.123), [[1.0]])
 
     def test_bit_identical_to_scalar(self):
         spec = BasisSpec(n_basis=4)
         z = 0.5
-        all_vals = eval_phi_all(spec, z)
+        column = phi_matrix(spec, z)[:, 0]
         for n in range(4):
-            assert all_vals[n] == eval_phi(spec, n, z)
+            assert column[n] == eval_phi(spec, n, z)
 
 
 class TestBoundaryValues:
@@ -139,15 +145,23 @@ class TestVectorizedStacks:
         z = np.array([0.01, 0.25, 0.5, 0.99, 1.0, 1.05])
         mat = phi_matrix(spec, z)
         for j, zj in enumerate(z):
-            np.testing.assert_array_equal(mat[:, j], eval_phi_all(spec, zj))
+            for n in range(8):
+                assert mat[n, j] == eval_phi(spec, n, zj)
 
     def test_phi_deriv_matrix_matches_scalar(self):
+        """The derivative recurrence agrees with the ratio form
+        P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1), taken one n at a time
+        away from x = +-1, with P_n from numpy's Clenshaw evaluation."""
         spec = BasisSpec(n_basis=16)
         z = np.linspace(0.05, 0.95, 7)
+        x = 2 * z - 1
+        p = [legendre.legval(x, np.eye(16)[n]) for n in range(16)]
         mat = phi_deriv_matrix(spec, z)
-        for j, zj in enumerate(z):
-            for n in range(16):
-                assert mat[n, j] == pytest.approx(eval_phi_deriv(spec, n, zj), rel=1e-12, abs=1e-12)
+        for n in range(1, 16):
+            ratio = n * (x * p[n] - p[n - 1]) / (x * x - 1)
+            expect = 2 * np.sqrt(2 * n + 1) * ratio
+            np.testing.assert_allclose(mat[n], expect, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(mat[0], 0.0)
 
 
 def test_orthonormality():
@@ -159,10 +173,24 @@ def test_orthonormality():
         assert abs(val - (1.0 if n == m else 0.0)) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=127))
+def test_gram_matrix_at_gauss_nodes(n):
+    """The (N+1)-point Gauss rule on (0, 1] integrates phi_n phi_m exactly,
+    so the Gram matrix of the first N modes is the identity to 1e-12."""
+    x, w = gauss_rule(n + 1)
+    phi = phi_matrix(BasisSpec(n_basis=n), 0.5 * (x + 1.0))
+    gram = (phi * (0.5 * w)) @ phi.T
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+
+
 def test_spec_validation():
     with pytest.raises(ArgumentError):
         BasisSpec(n_basis=0)
     with pytest.raises(ArgumentError):
         BasisSpec(n_basis=257)
+    for not_an_int in ("8", 8.5, True):
+        with pytest.raises(ArgumentError, match="integer"):
+            BasisSpec(n_basis=not_an_int)
     with pytest.raises(ArgumentError):
         BasisSpec(n_basis=4, family="fourier")

@@ -118,6 +118,24 @@ class TestReconstruct:
         )
         assert code == 0
 
+    def test_foh_input_model_is_used(self, tmp_path):
+        """--input-model foh drives the model recurrence with the FOH pair:
+        the check still passes and the model column differs from zoh's."""
+        zoh_dir, foh_dir = tmp_path / "zoh", tmp_path / "foh"
+        assert main(["reconstruct", "--out", str(zoh_dir)]) == 0
+        assert main(["reconstruct", "--out", str(foh_dir), "--input-model", "foh"]) == 0
+        assert json.loads((foh_dir / "summary.json").read_text())["mse"] <= 1e-5
+        assert sha256_of(foh_dir / "recon.csv") != sha256_of(zoh_dir / "recon.csv")
+        _, zoh_rows = read_table(zoh_dir / "recon.csv")
+        _, foh_rows = read_table(foh_dir / "recon.csv")
+        assert [r[2] for r in foh_rows] == [r[2] for r in zoh_rows]  # same baseline
+
+    def test_dirac_input_model_is_refused(self, tmp_path, capsys):
+        code = main(["reconstruct", "--out", str(tmp_path), "--input-model", "dirac"])
+        assert code == 2
+        assert "'dirac'" in capsys.readouterr().err
+        assert not (tmp_path / "recon.csv").exists()
+
 
 class TestLagshift:
     def test_identity_at_zero_delta(self, tmp_path):
@@ -241,6 +259,27 @@ class TestConfigHandling:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: unknown")
         assert not (tmp_path / "matrices.json").exists()
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ('{"n_basis": 8,', "cfg.json"),
+            (None, "cfg.json"),
+            ('{"signal": {"x0": 5}}', "signal"),
+            ('{"n_basis": "8"}', "n_basis"),
+        ],
+        ids=["truncated", "missing", "x0-not-a-list", "n_basis-a-string"],
+    )
+    def test_unreadable_or_ill_typed_file_is_an_error(self, tmp_path, capsys, content, named):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        out = tmp_path / "out"
+        code = main(["matrices", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (out / "matrices.json").exists()
 
     def test_every_documented_key_is_accepted(self):
         cfg = ExperimentConfig.from_dict(

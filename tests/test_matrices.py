@@ -18,7 +18,6 @@ from lagssm import (
     build_a_gen,
     build_b_delta,
     build_b_gen,
-    build_discrete,
     compose_block_diagonal,
     correct_a_delta,
     frobenius_rel_diff,
@@ -480,24 +479,3 @@ class TestSerialization:
         }
         self.assert_json_dump_layout(tmp_path / "m.json", arrays, {})
 
-
-def test_build_discrete_bundle():
-    spec = BasisSpec(n_basis=6)
-    d = build_discrete(spec, W, 0.02, "foh", QUAD)
-    assert d.delta == 0.02
-    assert isinstance(d.b_delta, FohVectors)
-    assert d.a_delta.shape == (6, 6)
-    np.testing.assert_allclose(
-        d.a_corrected @ d.a_delta, np.eye(6) * np.exp(-0.02), atol=1e-12
-    )
-
-
-def test_build_generator_bundle():
-    from lagssm import build_generator
-
-    spec = BasisSpec(n_basis=5)
-    g = build_generator(spec, W, QUAD)
-    np.testing.assert_array_equal(g.a_gen, build_a_gen(spec, W, QUAD))
-    np.testing.assert_array_equal(g.b_gen, build_b_gen(spec, W))
-    assert g.basis is spec
-    assert g.warp is W

@@ -25,10 +25,10 @@ from .matrices import (
     build_a_gen,
     build_b_delta,
     build_b_gen,
-    compose_block_diagonal,
     correct_a_delta,
     frobenius_rel_diff,
     hippo_legs_reference,
+    lag_matrix,
     matrix_exp,
 )
 from .quadrature import QuadratureConfig, gauss_rule, integrate
@@ -68,7 +68,6 @@ __all__ = [
     "build_a_gen",
     "build_b_delta",
     "build_b_gen",
-    "compose_block_diagonal",
     "correct_a_delta",
     "eval_phi",
     "eval_phi_deriv",
@@ -77,6 +76,7 @@ __all__ = [
     "hippo_legs_reference",
     "integrate",
     "lag",
+    "lag_matrix",
     "lorenz63",
     "matrix_exp",
     "measure",

@@ -10,13 +10,20 @@ invariant exactly when c picks up the inverse-transpose of what the basis
 picks up).  The closed-form reference a_hippo is already the coefficient-
 side generator, so the corrected transition is transposed before being
 compared with, or run against, anything built from a_hippo.
+
+reconstruct, the forward lagshift and matrices take that correction in its
+exact form, the forward shift c M(c) of matrices.lag_matrix with
+c = exp(-delta / tau); table1, table3 and the default backward lagshift
+stay on the quadrature-built a_delta.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,7 +31,7 @@ from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import (
     DIRAC,
-    FohVectors,
+    FOH,
     INPUT_MODELS,
     ZOH,
     backward_shift,
@@ -37,6 +44,8 @@ from .matrices import (
     correct_a_delta,
     frobenius_rel_diff,
     hippo_legs_reference,
+    hold_vectors,
+    lag_matrix,
     matrix_exp,
     save_matrices_json,
 )
@@ -94,6 +103,38 @@ class SignalConfig:
     phases: tuple[float, ...] = (0.0,)
     csv_path: str | None = None
 
+    def __post_init__(self):
+        for name in ("sigma", "rho", "beta"):
+            _check_reals(f"signal {name}", (getattr(self, name),))
+        for name in ("x0", "freqs", "amps", "phases"):
+            _check_reals(f"signal {name}", getattr(self, name))
+        if len(self.x0) != 3:
+            raise ArgumentError(f"signal x0 must have 3 entries, got {self.x0!r}")
+        if (
+            isinstance(self.burn_in, bool)
+            or not isinstance(self.burn_in, Integral)
+            or self.burn_in < 0
+        ):
+            raise ArgumentError(
+                f"signal burn_in must be a nonnegative integer, got {self.burn_in!r}"
+            )
+        if not isinstance(self.normalize, bool):
+            raise ArgumentError(
+                f"signal normalize must be true or false, got {self.normalize!r}"
+            )
+        # open() takes an int as a file descriptor, so a number is no path.
+        if not (self.csv_path is None or isinstance(self.csv_path, str)):
+            raise ArgumentError(
+                f"signal csv_path must be a string, got {self.csv_path!r}"
+            )
+
+
+def _check_reals(field: str, values) -> None:
+    """Every value must be a finite real number; bools and strings are not."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+            raise ArgumentError(f"{field}: {v!r} is not a finite real number")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -109,6 +150,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        _check_reals("delta", (self.delta,))
+        _check_reals("total_time", (self.total_time,))
         if self.input_model not in INPUT_MODELS:
             raise ArgumentError(f"unknown input model {self.input_model!r}")
         # delta == 0 is allowed so the shift commands can show the identity
@@ -212,10 +255,12 @@ def _write_table(path, header: list[str], table) -> None:
             fh.write(",".join(map(repr, row)) + "\r\n")
 
 
-def _coefficient_transition(cfg: ExperimentConfig, delta: float) -> np.ndarray:
-    """Projection-tracking transition: transpose of the corrected basis shift."""
-    a_d = build_a_delta(cfg.basis, cfg.warp, delta, cfg.quadrature)
-    return correct_a_delta(a_d, delta, max_condition=None).T
+def _forward_shift(cfg: ExperimentConfig) -> np.ndarray:
+    """Forward basis shift c M(c), c = exp(-delta / tau), from the exact lag
+    matrix; its transpose is the projection-tracking transition.  Each
+    command builds it at most once and reads its hold vectors off it."""
+    c = cfg.warp.f(-cfg.delta)
+    return c * lag_matrix(cfg.basis, c)
 
 
 def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
@@ -313,10 +358,11 @@ def _model_and_baseline(cfg: ExperimentConfig):
             "reconstruct needs a sampled-input hold model (zoh or foh); "
             "input model 'dirac' has no Tustin baseline"
         )
-    a_model = _coefficient_transition(cfg, cfg.delta)
-    b_model = build_b_delta(
-        cfg.basis, cfg.warp, cfg.delta, cfg.input_model, cfg.quadrature
+    forward = _forward_shift(cfg)
+    b_model = hold_vectors(
+        forward, cfg.basis, cfg.warp, cfg.delta, cfg.input_model, cfg.quadrature
     )
+    a_model = forward.T
     ref = hippo_legs_reference(cfg.n_basis)
     a_base, b_base = bilinear_discretize(ref.a_hippo, ref.b_hippo, cfg.delta)
     return (a_model, b_model), (a_base, b_base)
@@ -379,11 +425,11 @@ def cmd_lagshift(
         raise ArgumentError(f"n_show={n_show} out of range [0, {cfg.n_basis})")
     os.makedirs(cfg.output_dir, exist_ok=True)
 
-    a_d = build_a_delta(cfg.basis, cfg.warp, cfg.delta, cfg.quadrature)
     if direction == "backward":
+        a_d = build_a_delta(cfg.basis, cfg.warp, cfg.delta, cfg.quadrature)
         op = backward_shift(a_d, cfg.delta)
     else:
-        op = correct_a_delta(a_d, cfg.delta, max_condition=None)
+        op = _forward_shift(cfg)
 
     t_end = cfg.total_time
     s_grid = np.linspace(0.0, t_end, LAGSHIFT_GRID_POINTS)
@@ -409,18 +455,16 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
     """Dump every built matrix with metadata to matrices.json."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     basis, warp, quad = cfg.basis, cfg.warp, cfg.quadrature
-    a_gen = build_a_gen(basis, warp, quad)
-    a_d = build_a_delta(basis, warp, cfg.delta, quad)
+    forward = _forward_shift(cfg)
     ref = hippo_legs_reference(cfg.n_basis)
-    foh = build_b_delta(basis, warp, cfg.delta, "foh", quad)
-    assert isinstance(foh, FohVectors)
+    foh = hold_vectors(forward, basis, warp, cfg.delta, FOH, quad)
     arrays = {
-        "a_gen": a_gen,
+        "a_gen": build_a_gen(basis, warp, quad),
         "b_gen": build_b_gen(basis, warp),
-        "a_delta": a_d,
-        "a_corrected": correct_a_delta(a_d, cfg.delta, max_condition=None),
-        "b_delta_dirac": build_b_delta(basis, warp, cfg.delta, "dirac", quad),
-        "b_delta_zoh": build_b_delta(basis, warp, cfg.delta, "zoh", quad),
+        "a_delta": lag_matrix(basis, warp.f(cfg.delta)),
+        "a_corrected": forward,
+        "b_delta_dirac": build_b_delta(basis, warp, cfg.delta, DIRAC, quad),
+        "b_delta_zoh": hold_vectors(forward, basis, warp, cfg.delta, ZOH, quad),
         "b_delta_foh_v_next": foh.v_next,
         "b_delta_foh_v_prev": foh.v_prev,
         "a_hippo": ref.a_hippo,

@@ -116,6 +116,78 @@ def build_a_delta(
     return (phi * w) @ phi_lagged.T
 
 
+def lag_matrix(basis: BasisSpec, c: float) -> np.ndarray:
+    """Matrix of the dilation p(z) -> p(c z): entry (n, m) is the integral of
+    phi_n(z) * phi_m(c z) over (0, 1].
+
+    Built without quadrature.  Column m holds the coefficients of
+    phi_m(c z), and the orthonormal three-term recurrence
+    z phi_m = b_{m+1} phi_{m+1} + phi_m / 2 + b_m phi_{m-1}, with
+    b_m = m / (2 sqrt(4m^2 - 1)), gives column m+1 from columns m and m-1
+    with z replaced by c J, J the basis's tridiagonal Jacobi matrix.  No
+    column below N reaches phi_N, so the result is exact in the truncated
+    space: upper triangular with exact zeros below the diagonal, diagonal
+    c^n, and M(c1 c2) = M(c1) M(c2).
+
+    For the exponential warp with rate tau, M(exp(delta / tau)) is a_delta,
+    and with c = exp(-delta / tau) the forward basis shift is c M(c), whose
+    transpose is exp(delta a_hippo / tau).
+    """
+    if not (np.isfinite(c) and c > 0.0):
+        raise ArgumentError(f"c must be a positive finite real, got {c}")
+    n = basis.n_basis
+    k = np.arange(1.0, n)
+    b = k / (2.0 * np.sqrt(4.0 * k * k - 1.0))  # b[m - 1] is b_m
+    cb = c * b
+    # c J - 1/2 = c (J - 1/2) + (c - 1) / 2: J's diagonal 1/2 never meets
+    # the -1/2, so nothing cancels near c = 1 and M(1) is I exactly.
+    half_gap = 0.5 * (c - 1.0)
+    cols = np.zeros((n, n))  # row m: coefficients of phi_m(c z)
+    cols[0, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for m in range(n - 1):
+            v = cols[m, : m + 2]
+            nxt = half_gap * v
+            nxt[1:] += cb[: m + 1] * v[: m + 1]
+            nxt[:-1] += cb[: m + 1] * v[1:]
+            if m:
+                nxt[:m] -= b[m - 1] * cols[m - 1, :m]
+            cols[m + 1, : m + 2] = nxt / b[m]
+    out = cols.T
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"lag matrix overflows at c={c} and N={n}")
+    return out
+
+
+def hold_vectors(
+    forward: np.ndarray,
+    basis: BasisSpec,
+    warp: WarpSpec,
+    delta: float,
+    model: str,
+    quad: QuadratureConfig,
+) -> np.ndarray | FohVectors:
+    """ZOH vector or FOH pair from the forward basis shift c M(c),
+    c = f(-delta).
+
+    Row 0 of c M(c) integrates phi_n over [0, c], so the ZOH vector, the
+    integral of phi_n over [c, 1], is its negative plus 1 - c in entry 0
+    (taken as -expm1(-delta / tau)).  FOH adds Ig, the integral of
+    phi_n * g, which is not polynomial and stays on the composite rule.
+    """
+    if model not in (ZOH, FOH):
+        raise ArgumentError(f"hold vectors exist for zoh and foh, not {model!r}")
+    if delta <= 0.0:
+        raise ArgumentError(f"delta must be positive for {model}, got {delta}")
+    i1 = -forward[0]
+    i1[0] = -np.expm1(-delta / warp.rate)
+    if model == ZOH:
+        return i1
+    z, w = panel_nodes(warp.f(-delta), 1.0, quad)
+    ig = phi_matrix(basis, z) @ (w * warp.g(z))
+    return FohVectors(v_next=i1 + ig / delta, v_prev=-ig / delta)
+
+
 def condition_estimate(m: np.ndarray) -> float:
     """2-norm condition number (SVD based; matrices here are desk-sized)."""
     return float(np.linalg.cond(m))
@@ -167,6 +239,9 @@ def build_b_delta(
            v_prev = -Ig/delta, where I1 integrates phi_n and Ig integrates
            phi_n * g over [f(-delta), 1].
 
+    I1 (the zoh vector) is read exactly off the lag matrix at
+    c = f(-delta) (see hold_vectors); Ig is on the composite rule.
+
     For the exponential warp with rate tau, b_gen = phi_n(1) / tau and
     c_n = (phi_n(1) + phi_n'(1)) / tau^2 = sqrt(2n+1) (1 + n(n+1)) / tau^2,
     the hold vectors have the first-order expansions
@@ -183,14 +258,8 @@ def build_b_delta(
         return boundary_values(basis) * abs(warp.f_prime(0.0))
     if delta <= 0.0:
         raise ArgumentError(f"delta must be positive for {model}, got {delta}")
-    lower = warp.f(-delta)
-    z, w = panel_nodes(lower, 1.0, quad)
-    phi = phi_matrix(basis, z)
-    i1 = phi @ w
-    if model == ZOH:
-        return i1
-    ig = phi @ (w * warp.g(z))
-    return FohVectors(v_next=i1 + ig / delta, v_prev=-ig / delta)
+    c = warp.f(-delta)
+    return hold_vectors(c * lag_matrix(basis, c), basis, warp, delta, model, quad)
 
 
 _PADE13_B = (
@@ -283,34 +352,6 @@ def frobenius_rel_diff(m1: np.ndarray, m2: np.ndarray) -> float:
     if denom == 0.0:
         raise ArgumentError("reference matrix has zero Frobenius norm")
     return float(np.linalg.norm(m1 - m2) / denom)
-
-
-def compose_block_diagonal(
-    blocks: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack (transition, input) pairs into one independent-blocks system."""
-    if not blocks:
-        raise ArgumentError("blocks must be nonempty")
-    sizes = []
-    for a, b in blocks:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ArgumentError(f"block transition must be square, got {a.shape}")
-        if b.shape != (a.shape[0],):
-            raise ArgumentError(
-                f"block input length {b.shape} does not match transition {a.shape}"
-            )
-        sizes.append(a.shape[0])
-    total = sum(sizes)
-    a_out = np.zeros((total, total))
-    b_out = np.zeros(total)
-    off = 0
-    for (a, b), size in zip(blocks, sizes):
-        a_out[off : off + size, off : off + size] = a
-        b_out[off : off + size] = b
-        off += size
-    return a_out, b_out
 
 
 # --- serialization -----------------------------------------------------------

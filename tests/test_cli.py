@@ -187,13 +187,11 @@ class TestMatricesCommand:
 
     def test_round_trip_bit_identical(self, tmp_path):
         from lagssm.matrices import load_matrices_json
-        from lagssm import BasisSpec, WarpSpec, QuadratureConfig, build_a_delta
+        from lagssm import BasisSpec, lag_matrix
 
         assert main(["matrices", "--out", str(tmp_path), "--n", "12"]) == 0
         arrays, _ = load_matrices_json(tmp_path / "matrices.json")
-        rebuilt = build_a_delta(
-            BasisSpec(n_basis=12), WarpSpec(), 0.01, QuadratureConfig()
-        )
+        rebuilt = lag_matrix(BasisSpec(n_basis=12), np.exp(0.01))
         np.testing.assert_array_equal(arrays["a_delta"], rebuilt)
 
     def test_file_has_json_dump_layout(self, tmp_path):
@@ -267,8 +265,35 @@ class TestConfigHandling:
             (None, "cfg.json"),
             ('{"signal": {"x0": 5}}', "signal"),
             ('{"n_basis": "8"}', "n_basis"),
+            ('{"signal": {"x0": "abc"}}', "x0"),
+            ('{"signal": {"x0": [1, 2]}}', "x0"),
+            ('{"signal": {"kind": "sine", "freqs": ["a"]}}', "freqs"),
+            ('{"signal": {"sigma": "10"}}', "sigma"),
+            ('{"signal": {"beta": NaN}}', "beta"),
+            ('{"signal": {"rho": true}}', "rho"),
+            ('{"signal": {"burn_in": 1.5}}', "burn_in"),
+            ('{"signal": {"normalize": "no"}}', "normalize"),
+            ('{"signal": {"kind": "csv", "csv_path": 3}}', "csv_path"),
+            ('{"delta": true}', "delta"),
+            ('{"total_time": Infinity}', "total_time"),
         ],
-        ids=["truncated", "missing", "x0-not-a-list", "n_basis-a-string"],
+        ids=[
+            "truncated",
+            "missing",
+            "x0-not-a-list",
+            "n_basis-a-string",
+            "x0-a-string",
+            "x0-two-entries",
+            "freqs-not-numbers",
+            "sigma-a-string",
+            "beta-nan",
+            "rho-a-bool",
+            "burn_in-not-an-integer",
+            "normalize-a-string",
+            "csv_path-a-number",
+            "delta-a-bool",
+            "total_time-infinite",
+        ],
     )
     def test_unreadable_or_ill_typed_file_is_an_error(self, tmp_path, capsys, content, named):
         cfg_path = tmp_path / "cfg.json"

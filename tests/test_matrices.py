@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagssm import (
     ArgumentError,
@@ -18,14 +20,15 @@ from lagssm import (
     build_a_gen,
     build_b_delta,
     build_b_gen,
-    compose_block_diagonal,
     correct_a_delta,
     frobenius_rel_diff,
     hippo_legs_reference,
+    lag_matrix,
     matrix_exp,
 )
 from lagssm.matrices import (
     MATRIX_SCHEMA_VERSION,
+    hold_vectors,
     load_matrices_json,
     save_matrices_json,
 )
@@ -383,52 +386,74 @@ class TestFrobeniusRelDiff:
             frobenius_rel_diff(np.zeros((2, 2)), np.eye(2))
 
 
-class TestComposeBlockDiagonal:
-    def test_single_block_unchanged(self):
-        a = np.array([[0.5, 0.1], [0.0, 0.4]])
-        b = np.array([1.0, 2.0])
-        a_out, b_out = compose_block_diagonal([(a, b)])
-        np.testing.assert_array_equal(a_out, a)
-        np.testing.assert_array_equal(b_out, b)
+class TestLagMatrix:
+    """lag_matrix(basis, c): the exact dilation matrix M(c) behind every
+    forward transition and ZOH vector."""
 
-    def test_two_scalar_blocks(self):
-        a_out, b_out = compose_block_diagonal(
-            [(np.array([[2.0]]), np.array([3.0])), (np.array([[5.0]]), np.array([7.0]))]
-        )
-        np.testing.assert_array_equal(a_out, [[2.0, 0.0], [0.0, 5.0]])
-        np.testing.assert_array_equal(b_out, [3.0, 7.0])
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 64, 128, 192, 256])
+    def test_forward_shift_and_zoh_match_closed_form(self, n, delta, tau):
+        """(c M(c))^T with c = exp(-delta/tau) is exp(delta A) and the ZOH
+        vector is A^-1 (exp(delta A) - I) B, A = a_hippo/tau, B = b_hippo/tau,
+        both to 1e-10 relative, over the whole basis range.
 
-    def test_blocks_step_independently(self):
-        """Two warps on a shared input: stepping the composed system matches
-        stepping each block separately."""
-        from lagssm import run, SignalTrace
+        The N=256 cases fail on the quadrature route
+        correct_a_delta(build_a_delta(...)).T: its error there is 1.2e2 to
+        5.7e15 at delta <= 0.5 (and build_a_delta refuses delta=1).
+        """
+        spec, warp = BasisSpec(n_basis=n), WarpSpec(rate=tau)
+        ref = hippo_legs_reference(n)
+        a, b = ref.a_hippo / tau, ref.b_hippo / tau
+        c = np.exp(-delta / tau)
+        exact = matrix_exp(delta * a)
+        assert frobenius_rel_diff(exact, (c * lag_matrix(spec, c)).T) <= 1e-10
+        zoh = np.linalg.solve(a, (exact - np.eye(n)) @ b)
+        got = build_b_delta(spec, warp, delta, "zoh", QUAD)
+        assert np.linalg.norm(got - zoh) <= 1e-10 * np.linalg.norm(zoh)
 
-        delta = 0.01
-        blocks = []
-        for tau in (1.0, 4.0):
-            w = WarpSpec(rate=tau)
-            spec = BasisSpec(n_basis=8)
-            a = correct_a_delta(build_a_delta(spec, w, delta, QUAD), delta).T
-            b = build_b_delta(spec, w, delta, "zoh", QUAD)
-            blocks.append((a, b))
-        a_all, b_all = compose_block_diagonal(blocks)
-        rng = np.random.default_rng(9)
-        trace = SignalTrace.from_values(rng.standard_normal(50), delta=delta)
-        combined = run(trace, a_all, b_all)[-1].coeffs
-        sep0 = run(trace, blocks[0][0], blocks[0][1])[-1].coeffs
-        sep1 = run(trace, blocks[1][0], blocks[1][1])[-1].coeffs
-        # the blocks are mathematically independent; the matvec over the
-        # composed system may group its sums differently, hence the 1-ulp-
-        # scale tolerance instead of exact equality
-        np.testing.assert_allclose(
-            combined, np.concatenate([sep0, sep1]), rtol=1e-13, atol=1e-15
-        )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=256),
+        c1=st.floats(min_value=0.3, max_value=1.0),
+        c2=st.floats(min_value=0.3, max_value=1.0),
+    )
+    def test_semigroup(self, n, c1, c2):
+        spec = BasisSpec(n_basis=n)
+        product = lag_matrix(spec, c1) @ lag_matrix(spec, c2)
+        assert frobenius_rel_diff(lag_matrix(spec, c1 * c2), product) <= 1e-12
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("c", [0.3, 0.99, 1.0, 1.01, 1.6])
+    def test_exactly_upper_triangular_with_power_diagonal(self, c):
+        m = lag_matrix(BasisSpec(n_basis=256), c)
+        assert np.all(np.tril(m, -1) == 0.0)
+        np.testing.assert_allclose(np.diag(m), c ** np.arange(256.0), rtol=1e-12)
+
+    def test_identity_at_one(self):
+        np.testing.assert_array_equal(lag_matrix(BasisSpec(n_basis=64), 1.0), np.eye(64))
+
+    def test_backward_is_a_delta(self):
+        """M(exp(delta)) is the quadrature-built a_delta where the rule is
+        accurate (N=64)."""
+        spec, delta = BasisSpec(n_basis=64), 0.01
+        a_d = build_a_delta(spec, W, delta, QUAD)
+        assert frobenius_rel_diff(a_d, lag_matrix(spec, np.exp(delta))) <= 1e-12
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_bad_c(self, c):
         with pytest.raises(ArgumentError):
-            compose_block_diagonal([(np.eye(2), np.ones(3))])
+            lag_matrix(BasisSpec(n_basis=4), c)
+
+    def test_overflow_is_named(self):
+        with pytest.raises(NumericError, match="overflows"):
+            lag_matrix(BasisSpec(n_basis=256), 1e3)
+
+    def test_hold_vectors_need_a_hold_model_and_a_step(self):
+        forward = np.eye(3)
         with pytest.raises(ArgumentError):
-            compose_block_diagonal([])
+            hold_vectors(forward, BasisSpec(n_basis=3), W, 0.01, "dirac", QUAD)
+        with pytest.raises(ArgumentError):
+            hold_vectors(forward, BasisSpec(n_basis=3), W, 0.0, "zoh", QUAD)
 
 
 class TestSerialization:

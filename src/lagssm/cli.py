@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .errors import LagssmError
@@ -74,6 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main call and reused after it."""
+    return build_parser()
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = (
         ExperimentConfig.from_json(args.config)
@@ -126,7 +133,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         if args.command == "tables":

@@ -11,10 +11,13 @@ picks up).  The closed-form reference a_hippo is already the coefficient-
 side generator, so the corrected transition is transposed before being
 compared with, or run against, anything built from a_hippo.
 
-reconstruct, the forward lagshift and matrices take that correction in its
-exact form, the forward shift c M(c) of matrices.lag_matrix with
-c = exp(-delta / tau); table1, table3 and the default backward lagshift
-stay on the quadrature-built a_delta.
+Every polynomial matrix here is built without quadrature: the generator
+a_gen from the derivative of matrices.lag_matrix's M(c) at c = 1, a_delta
+as M(exp(delta / tau)), and the corrected transition as the forward shift
+c M(c) with c = exp(-delta / tau).  tables, reconstruct, the forward
+lagshift and matrices use these; only the default backward lagshift stays
+on the quadrature-built a_delta, and FOH's log-weighted integral on the
+composite rule.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .matrices import (
     build_b_delta,
     build_b_gen,
     condition_estimate,
-    correct_a_delta,
     frobenius_rel_diff,
     hippo_legs_reference,
     hold_vectors,
@@ -54,9 +56,8 @@ from .recurrence import SignalTrace, run
 from .signals import LorenzParams, lorenz63, normalize_trace, sine_mixture
 from .warp import WarpSpec, measure
 
-TABLE1_DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)
+TABLE_DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)  # table1 and table3
 TABLE2_SIZES = (10, 30, 50)
-TABLE3_DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)
 
 # Tolerance bands the commands assert on their own output.
 TABLE1_TOL_SMALL = 1e-7     # deltas up to 1e-2
@@ -266,19 +267,21 @@ def _forward_shift(cfg: ExperimentConfig) -> np.ndarray:
 def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     """Three matrix-equivalence sweeps written to table1/2/3.csv.
 
-    table1: integrated transition vs matrix exponential of the generator.
+    table1: lag matrix M(exp(delta / tau)) vs matrix exponential of the
+            generator.
     table2: closed-form reference vs -(a_gen + I)^T across basis sizes.
-    table3: corrected transition vs Tustin discretization of the reference,
-            with an exact-exponential column and the transition's condition
-            number (the large-step rows are conditioning-limited).
+    table3: forward shift c M(c), c = exp(-delta / tau), vs Tustin
+            discretization of the reference, with an exact-exponential
+            column and cond(M(exp(delta / tau))), the conditioning of the
+            backward transition (large-step rows are conditioning-limited).
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     checks = []
 
-    a_gen = build_a_gen(cfg.basis, cfg.warp, cfg.quadrature)
+    a_gen = build_a_gen(cfg.basis, cfg.warp)
+    a_deltas = [lag_matrix(cfg.basis, cfg.warp.f(d)) for d in TABLE_DELTAS]
     rows1 = []
-    for d in TABLE1_DELTAS:
-        a_d = build_a_delta(cfg.basis, cfg.warp, d, cfg.quadrature)
+    for d, a_d in zip(TABLE_DELTAS, a_deltas):
         diff = frobenius_rel_diff(a_d, matrix_exp(d * a_gen))
         rows1.append([d, diff])
         tol = TABLE1_TOL_SMALL if d <= 1e-2 else TABLE1_TOL_LARGE
@@ -293,8 +296,7 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
 
     rows2 = []
     for n in TABLE2_SIZES:
-        basis = BasisSpec(n_basis=n)
-        a_gen_n = build_a_gen(basis, cfg.warp, cfg.quadrature)
+        a_gen_n = build_a_gen(BasisSpec(n_basis=n), cfg.warp)
         ref = hippo_legs_reference(n)
         diff = frobenius_rel_diff(ref.a_hippo, -(a_gen_n + np.eye(n)).T)
         rows2.append([n, diff])
@@ -310,16 +312,13 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     ref = hippo_legs_reference(cfg.n_basis)
     rows3 = []
     diffs3 = []
-    for d in TABLE3_DELTAS:
-        a_d = build_a_delta(cfg.basis, cfg.warp, d, cfg.quadrature)
-        cond = condition_estimate(a_d)
-        # max_condition=None: the delta=1e-1 transition is genuinely
-        # ill-conditioned and the sweep reports that instead of refusing.
-        corrected_t = correct_a_delta(a_d, d, max_condition=None).T
+    for d, a_d in zip(TABLE_DELTAS, a_deltas):
+        c = cfg.warp.f(-d)
+        corrected_t = (c * lag_matrix(cfg.basis, c)).T
         a_bar, _ = bilinear_discretize(ref.a_hippo, ref.b_hippo, d)
         diff = frobenius_rel_diff(corrected_t, a_bar)
         diff_exact = frobenius_rel_diff(corrected_t, matrix_exp(d * ref.a_hippo))
-        rows3.append([d, diff, diff_exact, cond])
+        rows3.append([d, diff, diff_exact, condition_estimate(a_d)])
         diffs3.append(diff)
     _write_table(
         os.path.join(cfg.output_dir, "table3.csv"),
@@ -459,7 +458,7 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
     ref = hippo_legs_reference(cfg.n_basis)
     foh = hold_vectors(forward, basis, warp, cfg.delta, FOH, quad)
     arrays = {
-        "a_gen": build_a_gen(basis, warp, quad),
+        "a_gen": build_a_gen(basis, warp),
         "b_gen": build_b_gen(basis, warp),
         "a_delta": lag_matrix(basis, warp.f(cfg.delta)),
         "a_corrected": forward,

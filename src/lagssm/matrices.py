@@ -23,7 +23,6 @@ from .basis import (
     MAX_BASIS_SIZE,
     BasisSpec,
     boundary_values,
-    phi_deriv_matrix,
     phi_matrix,
 )
 from .errors import ArgumentError, NumericError
@@ -58,17 +57,42 @@ class HippoReference:
     b_hippo: np.ndarray
 
 
-def build_a_gen(
-    basis: BasisSpec, warp: WarpSpec, quad: QuadratureConfig = QuadratureConfig()
-) -> np.ndarray:
-    """Generator entries <phi_n, phi'_m / g'> over the canonical interval."""
-    z, w = panel_nodes(0.0, 1.0, quad)
-    gp = warp.g_prime(z)
-    if not np.all(np.isfinite(gp)) or np.any(gp == 0.0):
-        raise NumericError("g' vanishes or is non-finite on a quadrature node")
-    phi = phi_matrix(basis, z)
-    dphi = phi_deriv_matrix(basis, z)
-    return (phi * (w / gp)) @ dphi.T
+def build_a_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
+    """Generator entries <phi_n, phi'_m / g'> over the canonical interval.
+
+    For the exponential warp g'(z) = tau / z, so the generator is D / tau
+    with D_{nm} = <phi_n, z phi'_m>, the derivative of lag_matrix's M(c) at
+    c = 1.  Built without quadrature by differentiating that recurrence:
+    with D_0 = 0,
+
+        D_{m+1} = (J e_m + (J - 1/2) D_m - b_m D_{m-1}) / b_{m+1},
+
+    J, b_m as in lag_matrix.  z phi'_m has degree m, so the result is exact
+    in the truncated space: upper triangular with exact zeros below the
+    diagonal and diagonal n / tau.
+    """
+    n = basis.n_basis
+    b = _jacobi_offdiagonal(n)
+    cols = np.zeros((n, n))  # row m: coefficients of z phi'_m(z)
+    for m in range(n - 1):
+        v = cols[m, : m + 2]
+        nxt = np.zeros(m + 2)
+        nxt[1:] += b[: m + 1] * v[: m + 1]  # (J - 1/2) D_m
+        nxt[:-1] += b[: m + 1] * v[1:]
+        nxt[m] += 0.5  # J e_m
+        nxt[m + 1] += b[m]
+        if m:
+            nxt[m - 1] += b[m - 1]
+            nxt[:m] -= b[m - 1] * cols[m - 1, :m]
+        cols[m + 1, : m + 2] = nxt / b[m]
+    return cols.T / warp.rate
+
+
+def _jacobi_offdiagonal(n: int) -> np.ndarray:
+    """b_1..b_{n-1} of the basis's Jacobi matrix, b_m = m / (2 sqrt(4m^2 - 1));
+    entry m - 1 is b_m."""
+    k = np.arange(1.0, n)
+    return k / (2.0 * np.sqrt(4.0 * k * k - 1.0))
 
 
 def build_b_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
@@ -136,8 +160,7 @@ def lag_matrix(basis: BasisSpec, c: float) -> np.ndarray:
     if not (np.isfinite(c) and c > 0.0):
         raise ArgumentError(f"c must be a positive finite real, got {c}")
     n = basis.n_basis
-    k = np.arange(1.0, n)
-    b = k / (2.0 * np.sqrt(4.0 * k * k - 1.0))  # b[m - 1] is b_m
+    b = _jacobi_offdiagonal(n)
     cb = c * b
     # c J - 1/2 = c (J - 1/2) + (c - 1) / 2: J's diagonal 1/2 never meets
     # the -1/2, so nothing cancels near c = 1 and M(1) is I exactly.

@@ -86,14 +86,33 @@ class SignalTrace:
 
     @classmethod
     def from_csv(cls, path) -> "SignalTrace":
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        if rows and rows[0][:2] == ["t", "u"]:
+        """Trace from t,u rows (an optional t,u header; lines starting with
+        # are skipped).  A file that cannot be read, or a row that is not two
+        numbers, raises ArgumentError naming the path and the row."""
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                rows = [
+                    (reader.line_num, r)
+                    for r in reader
+                    if r and not r[0].startswith("#")
+                ]
+        except (OSError, UnicodeError, csv.Error) as exc:
+            raise ArgumentError(f"cannot read signal file {str(path)!r}: {exc}") from exc
+        if rows and rows[0][1][:2] == ["t", "u"]:
             rows = rows[1:]
         if not rows:
             raise ArgumentError(f"no samples in {path}")
-        times = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
+        samples = []
+        for line, r in rows:
+            try:
+                samples.append((float(r[0]), float(r[1])))
+            except (IndexError, ValueError):
+                raise ArgumentError(
+                    f"signal file {str(path)!r} row {line}: "
+                    f"expected two numbers t,u, got {r!r}"
+                ) from None
+        times, values = np.array(samples).T
         if times.size == 1:
             raise ArgumentError("need at least two samples to infer delta")
         delta = float(times[1] - times[0])

@@ -49,7 +49,7 @@ def test_criterion_1_generator_identity():
     start = time.perf_counter()
     diffs = {}
     for n in (10, 30, 50):
-        a_gen = build_a_gen(BasisSpec(n_basis=n), W, QUAD)
+        a_gen = build_a_gen(BasisSpec(n_basis=n), W)
         ref = hippo_legs_reference(n)
         diffs[n] = frobenius_rel_diff(ref.a_hippo, -(a_gen + np.eye(n)).T)
     elapsed = time.perf_counter() - start
@@ -63,7 +63,7 @@ def test_criterion_2_exponential_map():
     """Integrated one-step transition equals exp(delta * a_gen), N=64."""
     start = time.perf_counter()
     spec = BasisSpec(n_basis=64)
-    a_gen = build_a_gen(spec, W, QUAD)
+    a_gen = build_a_gen(spec, W)
     diffs = {}
     for delta in (1e-4, 1e-3, 1e-2, 1e-1):
         a_d = build_a_delta(spec, W, delta, QUAD)

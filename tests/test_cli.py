@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from lagssm.experiments import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 def read_table(path):
@@ -201,6 +205,37 @@ class TestMatricesCommand:
         assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
 
+class TestParserReuse:
+    def test_no_option_leaks_between_calls(self, tmp_path, capsys):
+        """main reuses one parser: a run of calls in one process writes
+        what each command writes when run alone in a fresh process."""
+        commands = [
+            ["lagshift", "--direction", "forward"],
+            ["lagshift"],
+            ["reconstruct", "--no-normalize"],
+            ["reconstruct"],
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        for i, argv in enumerate(commands):
+            inproc, fresh = tmp_path / f"in{i}", tmp_path / f"fresh{i}"
+            code = main(argv + ["--out", str(inproc)])
+            stdout = capsys.readouterr().out
+            alone = subprocess.run(
+                [sys.executable, "-m", "lagssm.cli", *argv, "--out", str(fresh)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert (code, stdout) == (alone.returncode, alone.stdout), argv
+            names = sorted(p.name for p in fresh.iterdir())
+            assert names == sorted(p.name for p in inproc.iterdir())
+            for name in names:
+                assert sha256_of(inproc / name) == sha256_of(fresh / name), (argv, name)
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -305,6 +340,22 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert not (out / "matrices.json").exists()
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [(None, "No such file"), ("t,u\n0.0,1.0\n0.01,abc\n", "row 3")],
+        ids=["missing", "bad-cell"],
+    )
+    def test_unreadable_csv_signal_is_an_error(self, tmp_path, capsys, content, named):
+        trace_path = tmp_path / "sig.csv"
+        if content is not None:
+            trace_path.write_text(content)
+        out = tmp_path / "out"
+        code = main(["reconstruct", "--signal", f"csv:{trace_path}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(trace_path) in err and named in err
+        assert not (out / "recon.csv").exists()
 
     def test_every_documented_key_is_accepted(self):
         cfg = ExperimentConfig.from_dict(

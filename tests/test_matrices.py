@@ -57,22 +57,44 @@ class TestAGen:
                 [0.0, 0.0, 2.0],
             ]
         )
-        got = build_a_gen(BasisSpec(n_basis=3), W, QUAD)
+        got = build_a_gen(BasisSpec(n_basis=3), W)
         np.testing.assert_allclose(got, expect, atol=1e-13)
 
     def test_first_column_vanishes(self):
-        got = build_a_gen(BasisSpec(n_basis=8), W, QUAD)
+        got = build_a_gen(BasisSpec(n_basis=8), W)
         np.testing.assert_allclose(got[:, 0], 0.0, atol=1e-14)
 
     def test_matches_analytic_transpose(self):
-        got = build_a_gen(BasisSpec(n_basis=64), W, QUAD)
+        got = build_a_gen(BasisSpec(n_basis=64), W)
         assert frobenius_rel_diff(analytic_a0(64).T, got) <= 1e-10
 
     def test_rate_rescales(self):
         # g'(z) = tau / z, so the generator scales by 1/tau.
-        a1 = build_a_gen(BasisSpec(n_basis=6), WarpSpec(rate=1.0), QUAD)
-        a2 = build_a_gen(BasisSpec(n_basis=6), WarpSpec(rate=2.0), QUAD)
+        a1 = build_a_gen(BasisSpec(n_basis=6), WarpSpec(rate=1.0))
+        a2 = build_a_gen(BasisSpec(n_basis=6), WarpSpec(rate=2.0))
         np.testing.assert_allclose(a2, a1 / 2.0, atol=1e-13)
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 64, 128, 192, 256])
+    def test_exact_over_the_basis_range(self, n, tau):
+        """a_gen is -(a_hippo / tau)^T - I / tau to 1e-12 relative, exactly
+        zero below the diagonal, and generates the lag matrix:
+        matrix_exp(delta a_gen) is M(exp(delta / tau)) to 1e-11.
+
+        The N=256 cases fail on the composite-rule a_gen that this builder
+        replaced: its error against the closed form there is 0.82 (0.16 at
+        N=192), with entries of 4.6e2 below the diagonal.  Its N=64 and
+        N=128 cases fail too, on rule noise below the diagonal (up to
+        4.7e-12 and 9.9e-11).
+        """
+        spec = BasisSpec(n_basis=n)
+        a_gen = build_a_gen(spec, WarpSpec(rate=tau))
+        want = -(hippo_legs_reference(n).a_hippo / tau).T - np.eye(n) / tau
+        assert np.linalg.norm(a_gen - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.all(np.tril(a_gen, -1) == 0.0)
+        for delta in (1e-4, 1e-2, 0.1):
+            m = lag_matrix(spec, np.exp(delta / tau))
+            assert frobenius_rel_diff(m, matrix_exp(delta * a_gen)) <= 1e-11
 
 
 class TestBGen:
@@ -114,13 +136,13 @@ class TestHippoReference:
     def test_matches_generator_shift(self):
         """Reference equals -(a_gen + I)^T to quadrature accuracy at N=50."""
         n = 50
-        a_gen = build_a_gen(BasisSpec(n_basis=n), W, QUAD)
+        a_gen = build_a_gen(BasisSpec(n_basis=n), W)
         ref = hippo_legs_reference(n)
         assert frobenius_rel_diff(ref.a_hippo, -(a_gen + np.eye(n)).T) <= 1e-10
 
     def test_transpose_forms_agree(self):
         # -(a_gen + I)^T and -(a_gen^T + I) are the same matrix.
-        a_gen = build_a_gen(BasisSpec(n_basis=12), W, QUAD)
+        a_gen = build_a_gen(BasisSpec(n_basis=12), W)
         i = np.eye(12)
         np.testing.assert_array_equal(-(a_gen + i).T, -(a_gen.T + i))
 
@@ -140,7 +162,7 @@ class TestADelta:
 
     def test_matches_matrix_exponential(self):
         spec = BasisSpec(n_basis=64)
-        a_gen = build_a_gen(spec, W, QUAD)
+        a_gen = build_a_gen(spec, W)
         a_d = build_a_delta(spec, W, 1e-2, QUAD)
         assert frobenius_rel_diff(a_d, matrix_exp(1e-2 * a_gen)) <= 1e-7
 
@@ -191,7 +213,7 @@ class TestCorrectADelta:
     def test_matches_stable_exponential(self):
         spec = BasisSpec(n_basis=64)
         delta = 1e-2
-        a_gen = build_a_gen(spec, W, QUAD)
+        a_gen = build_a_gen(spec, W)
         corrected = correct_a_delta(build_a_delta(spec, W, delta, QUAD), delta)
         target = matrix_exp(delta * -(a_gen + np.eye(64)))
         assert frobenius_rel_diff(corrected, target) <= 1e-7
@@ -460,7 +482,7 @@ class TestSerialization:
     def test_json_round_trip_bit_identical(self, tmp_path):
         spec = BasisSpec(n_basis=6)
         arrays = {
-            "a_gen": build_a_gen(spec, W, QUAD),
+            "a_gen": build_a_gen(spec, W),
             "b_gen": build_b_gen(spec, W),
         }
         meta = {"n_basis": 6, "delta": 0.01, "tau": 1.0}

@@ -7,7 +7,7 @@ instance reproduces the closed-form HiPPO-LegS system, and the package
 ships the harness that checks this numerically.
 """
 
-from .basis import BasisSpec, boundary_values, eval_phi, eval_phi_deriv
+from .basis import BasisSpec, boundary_values
 from .errors import (
     ArgumentError,
     DomainError,
@@ -69,8 +69,6 @@ __all__ = [
     "build_b_delta",
     "build_b_gen",
     "correct_a_delta",
-    "eval_phi",
-    "eval_phi_deriv",
     "frobenius_rel_diff",
     "gauss_rule",
     "hippo_legs_reference",

@@ -1,0 +1,100 @@
+"""One rule for every config dataclass: each field holds a value of the kind
+its annotation names.
+
+`float` is a finite real number and not a bool, `int` an integer and not a
+bool; `bool`, `str`, `X | None`, tuples of floats and nested config
+dataclasses follow from the annotations, resolved once per class.  Range
+checks stay in each class's __post_init__.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import math
+import typing
+from numbers import Integral, Real
+
+from .errors import ArgumentError
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+_SCALARS = {
+    float: (lambda v: isinstance(v, Real) and not isinstance(v, bool) and _finite(v),
+            "a finite real number"),
+    int: (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _kind(hint) -> tuple:
+    """(test, description) of one resolved annotation."""
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    if dataclasses.is_dataclass(hint):
+        return (lambda v: isinstance(v, hint)), f"a {hint.__name__}"
+    args = typing.get_args(hint)
+    test, what = _kind(args[0])
+    if type(None) in args:  # X | None
+        return (lambda v: v is None or test(v)), f"{what} or null"
+    # tuple[X, ...] or a fixed-length tuple[X, X, X]
+    n = None if args[-1] is Ellipsis else len(args)
+    return (
+        lambda v: isinstance(v, tuple) and n in (None, len(v)) and all(map(test, v))
+    ), f"a list of {n} entries, each {what}" if n else f"a list, each entry {what}"
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """name -> (annotation, test, description) for each field of cls."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], *_kind(hints[f.name])) for f in dataclasses.fields(cls)}
+
+
+def check_fields(obj, section: str) -> None:
+    """Raise ArgumentError naming `<section> <field>` for the first field of
+    obj whose value is not of its annotated kind."""
+    for name, (_, test, what) in _fields(type(obj)).items():
+        value = getattr(obj, name)
+        if not test(value):
+            raise ArgumentError(f"{section} {name} must be {what}, got {value!r}")
+
+
+def build(cls, raw, section: str):
+    """cls from parsed JSON: raw must be an object whose keys name fields of
+    cls; an object under a config-dataclass field builds that class, and a
+    list under a tuple field becomes a tuple.  cls checks the values."""
+    if not isinstance(raw, dict):
+        raise ArgumentError(f"{section} must be a JSON object, got {raw!r}")
+    kinds = _fields(cls)
+    unknown = [key for key in raw if key not in kinds]
+    if unknown:
+        raise ArgumentError(
+            f"unknown {section} key {unknown[0]!r}; expected one of {list(kinds)}"
+        )
+    kwargs = dict(raw)
+    for key, value in raw.items():
+        hint = kinds[key][0]
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = build(hint, value, key)
+        elif isinstance(value, list) and typing.get_origin(hint) is tuple:
+            kwargs[key] = tuple(value)
+    return cls(**kwargs)
+
+
+def read_json(path):
+    """Parsed JSON of a config file; an unreadable file is an ArgumentError
+    naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ArgumentError(f"cannot read config file {str(path)!r}: {exc}") from exc

@@ -9,10 +9,10 @@ evaluate them slightly beyond 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
+from ._schema import check_fields
 from .errors import ArgumentError
 
 LEGENDRE_SHIFTED = "legendre_shifted"
@@ -28,19 +28,13 @@ class BasisSpec:
     family: str = LEGENDRE_SHIFTED
 
     def __post_init__(self):
+        check_fields(self, "basis")
         if self.family != LEGENDRE_SHIFTED:
             raise ArgumentError(f"unknown basis family: {self.family!r}")
-        if isinstance(self.n_basis, bool) or not isinstance(self.n_basis, Integral):
-            raise ArgumentError(f"n_basis must be an integer, got {self.n_basis!r}")
         if not (1 <= self.n_basis <= MAX_BASIS_SIZE):
             raise ArgumentError(
                 f"n_basis must be in [1, {MAX_BASIS_SIZE}], got {self.n_basis}"
             )
-
-
-def _check_index(spec: BasisSpec, n: int) -> None:
-    if not (0 <= n < spec.n_basis):
-        raise ArgumentError(f"basis index {n} out of range [0, {spec.n_basis})")
 
 
 def _legendre_stack(n: int, x: np.ndarray) -> np.ndarray:
@@ -56,19 +50,6 @@ def _legendre_stack(n: int, x: np.ndarray) -> np.ndarray:
     for k in range(1, n - 1):
         out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
     return out
-
-
-def eval_phi(spec: BasisSpec, n: int, z: float) -> float:
-    """phi_n(z) at a scalar z: the last entry of phi_matrix up to mode n."""
-    _check_index(spec, n)
-    return phi_matrix(BasisSpec(n_basis=n + 1), z)[n, 0]
-
-
-def eval_phi_deriv(spec: BasisSpec, n: int, z: float) -> float:
-    """d(phi_n)/dz at a scalar z: the last entry of phi_deriv_matrix up to
-    mode n."""
-    _check_index(spec, n)
-    return phi_deriv_matrix(BasisSpec(n_basis=n + 1), z)[n, 0]
 
 
 def boundary_values(spec: BasisSpec) -> np.ndarray:

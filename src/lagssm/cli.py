@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
+from ._schema import read_json
 from .errors import LagssmError
 from .experiments import (
     ExperimentConfig,
@@ -15,38 +15,48 @@ from .experiments import (
     cmd_reconstruct,
     cmd_tables,
 )
-from .quadrature import QuadratureConfig
-from .warp import WarpSpec
 
 _WARP_FAMILIES = {"exp": "exponential", "exponential": "exponential"}
+
+# Each common flag, the config key path it writes, and its argparse options.
+# --signal writes a dict of signal keys (see _signal_keys).
+_FLAGS = (
+    ("--n", ("n_basis",), dict(type=int, help="basis size")),
+    ("--delta", ("delta",), dict(type=float, help="time step")),
+    ("--total-time", ("total_time",), dict(type=float, help="signal duration")),
+    ("--warp", ("warp", "family"), dict(choices=sorted(_WARP_FAMILIES), help="warp family")),
+    ("--tau", ("warp", "rate"), dict(type=float, help="warp rate")),
+    ("--input-model", ("input_model",), dict(choices=["dirac", "zoh", "foh"], help="hold model")),
+    ("--quad-points", ("quadrature", "points_per_panel"),
+     dict(type=int, help="quadrature points per panel")),
+    ("--quad-panels", ("quadrature", "panels"), dict(type=int, help="quadrature panel count")),
+    ("--signal", ("signal",),
+     dict(metavar="lorenz|sine|csv:PATH", help="input signal for the reconstruction command")),
+    ("--burn-in", ("signal", "burn_in"), dict(type=int, help="Lorenz burn-in steps")),
+    ("--normalize", ("signal", "normalize"),
+     dict(action=argparse.BooleanOptionalAction,
+          help="affinely normalize the Lorenz trace (zero mean, unit max-abs)")),
+    ("--out", ("output_dir",), dict(metavar="DIR", help="output directory")),
+)
+
+
+def _signal_keys(value: str) -> dict:
+    """--signal lorenz|sine|csv:PATH as keys of the signal section."""
+    if value in ("lorenz", "sine"):
+        return {"kind": value, "csv_path": None}
+    if value.startswith("csv:"):
+        return {"kind": "csv", "csv_path": value[len("csv:"):]}
+    raise LagssmError(f"unknown signal {value!r}")
+
+
+# Flag values that are spelled differently in the config file.
+_TO_CONFIG = {"--warp": _WARP_FAMILIES.__getitem__, "--signal": _signal_keys}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--n", type=int, help="basis size")
-    parser.add_argument("--delta", type=float, help="time step")
-    parser.add_argument("--total-time", type=float, help="signal duration")
-    parser.add_argument("--warp", choices=sorted(_WARP_FAMILIES), help="warp family")
-    parser.add_argument("--tau", type=float, help="warp rate")
-    parser.add_argument(
-        "--input-model", choices=["dirac", "zoh", "foh"], help="hold model"
-    )
-    parser.add_argument("--quad-points", type=int, help="quadrature points per panel")
-    parser.add_argument("--quad-panels", type=int, help="quadrature panel count")
-    parser.add_argument(
-        "--signal",
-        metavar="lorenz|sine|csv:PATH",
-        help="input signal for the reconstruction command",
-    )
-    parser.add_argument("--burn-in", type=int, help="Lorenz burn-in steps")
-    parser.add_argument(
-        "--normalize",
-        dest="normalize",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="affinely normalize the Lorenz trace (zero mean, unit max-abs)",
-    )
-    parser.add_argument("--out", metavar="DIR", help="output directory")
+    for flag, _, options in _FLAGS:
+        parser.add_argument(flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,54 +92,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = (
-        ExperimentConfig.from_json(args.config)
-        if args.config
-        else ExperimentConfig()
-    )
-    updates = {}
-    if args.n is not None:
-        updates["n_basis"] = args.n
-    if args.delta is not None:
-        updates["delta"] = args.delta
-    if args.total_time is not None:
-        updates["total_time"] = args.total_time
-    if args.warp is not None or args.tau is not None:
-        family = _WARP_FAMILIES[args.warp] if args.warp else cfg.warp.family
-        rate = args.tau if args.tau is not None else cfg.warp.rate
-        updates["warp"] = WarpSpec(family=family, rate=rate)
-    if args.input_model is not None:
-        updates["input_model"] = args.input_model
-    if args.quad_points is not None or args.quad_panels is not None:
-        updates["quadrature"] = QuadratureConfig(
-            points_per_panel=args.quad_points
-            if args.quad_points is not None
-            else cfg.quadrature.points_per_panel,
-            panels=args.quad_panels
-            if args.quad_panels is not None
-            else cfg.quadrature.panels,
-        )
-    signal = cfg.signal
-    if args.signal is not None:
-        if args.signal == "lorenz":
-            signal = dataclasses.replace(signal, kind="lorenz", csv_path=None)
-        elif args.signal == "sine":
-            signal = dataclasses.replace(signal, kind="sine", csv_path=None)
-        elif args.signal.startswith("csv:"):
-            signal = dataclasses.replace(
-                signal, kind="csv", csv_path=args.signal[len("csv:"):]
-            )
-        else:
-            raise LagssmError(f"unknown signal {args.signal!r}")
-    if args.burn_in is not None:
-        signal = dataclasses.replace(signal, burn_in=args.burn_in)
-    if args.normalize is not None:
-        signal = dataclasses.replace(signal, normalize=args.normalize)
-    if signal is not cfg.signal:
-        updates["signal"] = signal
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    """The config file's JSON with every given flag written over it, built
+    and checked by ExperimentConfig.from_dict like a file alone."""
+    raw = {}
+    if args.config:
+        raw = read_json(args.config)
+        ExperimentConfig.from_dict(raw)  # the file must be valid on its own
+    for flag, path, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            _write(raw, path, _TO_CONFIG.get(flag, lambda v: v)(value))
+    return ExperimentConfig.from_dict(raw)
+
+
+def _write(raw: dict, path: tuple, value) -> None:
+    """Write value at path in raw (a file that passed from_dict), a dict
+    value key by key."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _write(raw, path + (key,), item)
+        return
+    *sections, key = path
+    for name in sections:
+        raw = raw.setdefault(name, {})
+    raw[key] = value
 
 
 def main(argv=None) -> int:

@@ -23,13 +23,12 @@ composite rule.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._schema import build, check_fields, read_json
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import (
@@ -43,7 +42,6 @@ from .matrices import (
     build_a_gen,
     build_b_delta,
     build_b_gen,
-    condition_estimate,
     frobenius_rel_diff,
     hippo_legs_reference,
     hold_vectors,
@@ -105,36 +103,11 @@ class SignalConfig:
     csv_path: str | None = None
 
     def __post_init__(self):
-        for name in ("sigma", "rho", "beta"):
-            _check_reals(f"signal {name}", (getattr(self, name),))
-        for name in ("x0", "freqs", "amps", "phases"):
-            _check_reals(f"signal {name}", getattr(self, name))
-        if len(self.x0) != 3:
-            raise ArgumentError(f"signal x0 must have 3 entries, got {self.x0!r}")
-        if (
-            isinstance(self.burn_in, bool)
-            or not isinstance(self.burn_in, Integral)
-            or self.burn_in < 0
-        ):
+        check_fields(self, "signal")
+        if self.burn_in < 0:
             raise ArgumentError(
                 f"signal burn_in must be a nonnegative integer, got {self.burn_in!r}"
             )
-        if not isinstance(self.normalize, bool):
-            raise ArgumentError(
-                f"signal normalize must be true or false, got {self.normalize!r}"
-            )
-        # open() takes an int as a file descriptor, so a number is no path.
-        if not (self.csv_path is None or isinstance(self.csv_path, str)):
-            raise ArgumentError(
-                f"signal csv_path must be a string, got {self.csv_path!r}"
-            )
-
-
-def _check_reals(field: str, values) -> None:
-    """Every value must be a finite real number; bools and strings are not."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-            raise ArgumentError(f"{field}: {v!r} is not a finite real number")
 
 
 @dataclass(frozen=True)
@@ -151,10 +124,9 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        _check_reals("delta", (self.delta,))
-        _check_reals("total_time", (self.total_time,))
+        check_fields(self, "config")
         if self.input_model not in INPUT_MODELS:
-            raise ArgumentError(f"unknown input model {self.input_model!r}")
+            raise ArgumentError(f"unknown input_model {self.input_model!r}")
         # delta == 0 is allowed so the shift commands can show the identity
         # operator; signal-driven commands reject it when they divide by it.
         if self.delta < 0.0 or self.total_time <= 0.0:
@@ -167,53 +139,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ArgumentError(f"cannot read config file {str(path)!r}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Config from parsed JSON.  An unknown key at any level, or a value
-        of the wrong type, is an ArgumentError naming its section."""
-        kwargs = _fields_of(cls, raw, "config")
-        if "warp" in kwargs:
-            kwargs["warp"] = _build(WarpSpec, kwargs["warp"], "warp")
-        if "quadrature" in kwargs:
-            kwargs["quadrature"] = _build(QuadratureConfig, kwargs["quadrature"], "quadrature")
-        if "signal" in kwargs:
-            kwargs["signal"] = _build(
-                SignalConfig, kwargs["signal"], "signal", ("x0", "freqs", "amps", "phases")
-            )
-        return _build(cls, kwargs, "config")
-
-
-def _build(cls, raw, section: str, tuples=()):
-    """cls(**raw), with the fields named in tuples turned from JSON lists
-    into tuples; a value of the wrong type raises ArgumentError."""
-    kwargs = _fields_of(cls, raw, section)
-    try:
-        for name in tuples:
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ArgumentError(f"wrong value type in {section}: {exc}") from exc
-
-
-def _fields_of(cls, raw, section: str) -> dict:
-    """A copy of raw after checking that every key names a field of cls."""
-    if not isinstance(raw, dict):
-        raise ArgumentError(f"{section} must be a JSON object, got {raw!r}")
-    allowed = [f.name for f in fields(cls)]
-    unknown = [key for key in raw if key not in allowed]
-    if unknown:
-        raise ArgumentError(
-            f"unknown {section} key {unknown[0]!r}; expected one of {allowed}"
-        )
-    return dict(raw)
+        """Config from parsed JSON.  An unknown key at any level, a section
+        that is not an object, or a value not of its field's kind is an
+        ArgumentError naming the section and field."""
+        return build(cls, raw, "config")
 
 
 def make_signal(cfg: ExperimentConfig) -> SignalTrace:
@@ -318,7 +251,7 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
         a_bar, _ = bilinear_discretize(ref.a_hippo, ref.b_hippo, d)
         diff = frobenius_rel_diff(corrected_t, a_bar)
         diff_exact = frobenius_rel_diff(corrected_t, matrix_exp(d * ref.a_hippo))
-        rows3.append([d, diff, diff_exact, condition_estimate(a_d)])
+        rows3.append([d, diff, diff_exact, float(np.linalg.cond(a_d))])
         diffs3.append(diff)
     _write_table(
         os.path.join(cfg.output_dir, "table3.csv"),

@@ -211,11 +211,6 @@ def hold_vectors(
     return FohVectors(v_next=i1 + ig / delta, v_prev=-ig / delta)
 
 
-def condition_estimate(m: np.ndarray) -> float:
-    """2-norm condition number (SVD based; matrices here are desk-sized)."""
-    return float(np.linalg.cond(m))
-
-
 def correct_a_delta(
     a_delta: np.ndarray,
     delta: float,
@@ -230,7 +225,7 @@ def correct_a_delta(
     the solve anyway, e.g. for large-step sweeps that report conditioning).
     """
     if max_condition is not None:
-        cond = condition_estimate(a_delta)
+        cond = float(np.linalg.cond(a_delta))
         if not np.isfinite(cond) or cond > max_condition:
             raise NumericError(
                 f"a_delta condition estimate {cond:.3e} exceeds {max_condition:.3e}"

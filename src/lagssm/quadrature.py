@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import check_fields
 from .basis import _legendre_stack
 from .errors import ArgumentError, EvaluationError
 
@@ -31,6 +32,7 @@ class QuadratureConfig:
     panels: int = 8
 
     def __post_init__(self):
+        check_fields(self, "quadrature")
         if not (MIN_POINTS <= self.points_per_panel <= MAX_POINTS):
             raise ArgumentError(
                 f"points_per_panel must be in [{MIN_POINTS}, {MAX_POINTS}]"

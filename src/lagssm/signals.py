@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import check_fields
 from .errors import ArgumentError, NumericError
 from .recurrence import SignalTrace
 
@@ -26,6 +27,7 @@ class LorenzParams:
     burn_in: int = 1000
 
     def __post_init__(self):
+        check_fields(self, "lorenz")
         if not (0.0 < self.dt <= MAX_LORENZ_DT):
             raise ArgumentError(f"dt must be in (0, {MAX_LORENZ_DT}], got {self.dt}")
         if self.steps <= 0:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import check_fields
 from .errors import ArgumentError, DomainError
 
 EXPONENTIAL = "exponential"
@@ -26,9 +27,10 @@ class WarpSpec:
     rate: float = 1.0
 
     def __post_init__(self):
+        check_fields(self, "warp")
         if self.family != EXPONENTIAL:
             raise ArgumentError(f"unknown warp family: {self.family!r}")
-        if not (self.rate > 0.0 and np.isfinite(self.rate)):
+        if self.rate <= 0.0:
             raise ArgumentError(f"rate must be a positive real, got {self.rate}")
 
     def f(self, x):

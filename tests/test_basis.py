@@ -7,9 +7,9 @@ from numpy.polynomial import legendre
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagssm import ArgumentError, BasisSpec, boundary_values, eval_phi, eval_phi_deriv
+from lagssm import ArgumentError, BasisSpec, boundary_values
 from lagssm.basis import phi_deriv_matrix, phi_matrix
-from lagssm.quadrature import QuadratureConfig, gauss_rule, integrate
+from lagssm.quadrature import QuadratureConfig, gauss_rule, panel_nodes
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -28,75 +28,69 @@ def legendre_monomial(n, x):
 
 
 class TestEvalPhi:
+    """Single basis values, read off phi_matrix."""
+
     def test_constant_mode(self):
         spec = BasisSpec(n_basis=4)
-        assert eval_phi(spec, 0, 0.3) == 1.0
+        assert phi_matrix(spec, 0.3)[0, 0] == 1.0
 
     def test_boundary_first_mode(self):
         spec = BasisSpec(n_basis=4)
-        assert eval_phi(spec, 1, 1.0) == pytest.approx(SQRT3, abs=1e-14)
+        assert phi_matrix(spec, 1.0)[1, 0] == pytest.approx(SQRT3, abs=1e-14)
 
     def test_second_mode_midpoint(self):
         # phi_2(0.5) = sqrt(5) P_2(0) = -sqrt(5)/2
         spec = BasisSpec(n_basis=4)
-        assert eval_phi(spec, 2, 0.5) == pytest.approx(-SQRT5 / 2, abs=1e-14)
+        assert phi_matrix(spec, 0.5)[2, 0] == pytest.approx(-SQRT5 / 2, abs=1e-14)
 
     def test_matches_monomial_forms(self):
         """Recurrence agrees with expanded monomials for n <= 5, z in [-2, 2]."""
         spec = BasisSpec(n_basis=6)
         rng = np.random.default_rng(7)
         z = rng.uniform(-2.0, 2.0, size=100)
+        got = phi_matrix(spec, z)
         for n in range(6):
             expect = np.sqrt(2 * n + 1) * legendre_monomial(n, 2 * z - 1)
-            got = np.array([eval_phi(spec, n, zi) for zi in z])
-            np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13)
-
-    def test_index_out_of_range(self):
-        spec = BasisSpec(n_basis=3)
-        with pytest.raises(ArgumentError):
-            eval_phi(spec, 3, 0.5)
-        with pytest.raises(ArgumentError):
-            eval_phi(spec, -1, 0.5)
+            np.testing.assert_allclose(got[n], expect, rtol=1e-13, atol=1e-13)
 
 
 class TestEvalPhiDeriv:
+    """Single basis derivatives, read off phi_deriv_matrix."""
+
     def test_constant_mode_derivative(self):
         spec = BasisSpec(n_basis=2)
-        assert eval_phi_deriv(spec, 0, 0.7) == 0.0
+        assert phi_deriv_matrix(spec, 0.7)[0, 0] == 0.0
 
     def test_linear_mode_derivative(self):
         spec = BasisSpec(n_basis=2)
-        for z in (0.0, 0.3, 1.0, 1.7):
-            assert eval_phi_deriv(spec, 1, z) == pytest.approx(2 * SQRT3, abs=1e-13)
+        for d in phi_deriv_matrix(spec, [0.0, 0.3, 1.0, 1.7])[1]:
+            assert d == pytest.approx(2 * SQRT3, abs=1e-13)
 
     def test_finite_difference_single(self):
         spec = BasisSpec(n_basis=6)
         h = 1e-6
-        fd = (eval_phi(spec, 5, 0.42 + h) - eval_phi(spec, 5, 0.42 - h)) / (2 * h)
-        assert eval_phi_deriv(spec, 5, 0.42) == pytest.approx(fd, abs=1e-6)
+        plus, minus = phi_matrix(spec, [0.42 + h, 0.42 - h])[5]
+        fd = (plus - minus) / (2 * h)
+        assert phi_deriv_matrix(spec, 0.42)[5, 0] == pytest.approx(fd, abs=1e-6)
 
     def test_finite_difference_sweep(self):
         """Central differences confirm the derivative for n < 32 on (0.05, 0.95)."""
         spec = BasisSpec(n_basis=32)
         h = 1e-6
-        for z in np.linspace(0.05, 0.95, 19):
-            for n in range(0, 32, 3):
-                fd = (eval_phi(spec, n, z + h) - eval_phi(spec, n, z - h)) / (2 * h)
-                assert abs(eval_phi_deriv(spec, n, z) - fd) <= 1e-6
+        z = np.linspace(0.05, 0.95, 19)
+        fd = (phi_matrix(spec, z + h) - phi_matrix(spec, z - h)) / (2 * h)
+        rows = slice(0, 32, 3)
+        assert np.max(np.abs(phi_deriv_matrix(spec, z)[rows] - fd[rows])) <= 1e-6
 
     def test_endpoint_limits(self):
         # At z = 1 (x = 1) the ratio form switches to its limit n(n+1)/2.
         spec = BasisSpec(n_basis=12)
+        at_one, at_zero = phi_deriv_matrix(spec, [1.0, 0.0]).T
         for n in range(12):
             expect = np.sqrt(2 * n + 1) * n * (n + 1)
-            assert eval_phi_deriv(spec, n, 1.0) == pytest.approx(expect, rel=1e-13)
+            assert at_one[n] == pytest.approx(expect, rel=1e-13)
             expect0 = (-1.0) ** (n - 1) * np.sqrt(2 * n + 1) * n * (n + 1)
-            assert eval_phi_deriv(spec, n, 0.0) == pytest.approx(expect0, rel=1e-13)
-
-    def test_index_out_of_range(self):
-        spec = BasisSpec(n_basis=3)
-        with pytest.raises(ArgumentError):
-            eval_phi_deriv(spec, 5, 0.5)
+            assert at_zero[n] == pytest.approx(expect0, rel=1e-13)
 
 
 class TestEvalPhiAll:
@@ -111,11 +105,12 @@ class TestEvalPhiAll:
         np.testing.assert_array_equal(phi_matrix(spec, 0.123), [[1.0]])
 
     def test_bit_identical_to_scalar(self):
-        spec = BasisSpec(n_basis=4)
+        """Mode n does not depend on the truncation: it is the last row of
+        the (n+1)-mode stack bit for bit."""
         z = 0.5
-        column = phi_matrix(spec, z)[:, 0]
+        column = phi_matrix(BasisSpec(n_basis=4), z)[:, 0]
         for n in range(4):
-            assert column[n] == eval_phi(spec, n, z)
+            assert column[n] == phi_matrix(BasisSpec(n_basis=n + 1), z)[n, 0]
 
 
 class TestBoundaryValues:
@@ -132,21 +127,19 @@ class TestBoundaryValues:
         assert vals[63] == pytest.approx(np.sqrt(127.0), abs=0)
 
     def test_boundary_identity(self):
-        """eval_phi at z=1 equals the closed form exactly."""
+        """phi_matrix at z=1 equals the closed form exactly."""
         spec = BasisSpec(n_basis=16)
-        vals = boundary_values(spec)
-        for n in range(16):
-            assert eval_phi(spec, n, 1.0) == vals[n]
+        np.testing.assert_array_equal(phi_matrix(spec, 1.0)[:, 0], boundary_values(spec))
 
 
 class TestVectorizedStacks:
     def test_phi_matrix_matches_scalar(self):
+        """A batch of points gives each point's own column bit for bit."""
         spec = BasisSpec(n_basis=8)
         z = np.array([0.01, 0.25, 0.5, 0.99, 1.0, 1.05])
         mat = phi_matrix(spec, z)
         for j, zj in enumerate(z):
-            for n in range(8):
-                assert mat[n, j] == eval_phi(spec, n, zj)
+            np.testing.assert_array_equal(mat[:, j], phi_matrix(spec, zj)[:, 0])
 
     def test_phi_deriv_matrix_matches_scalar(self):
         """The derivative recurrence agrees with the ratio form
@@ -166,11 +159,10 @@ class TestVectorizedStacks:
 
 def test_orthonormality():
     """Quadrature Gram matrix of the first 64 modes is the identity to 1e-12."""
-    spec = BasisSpec(n_basis=64)
-    cfg = QuadratureConfig()
-    for n, m in [(0, 0), (5, 5), (63, 63), (0, 1), (7, 40), (62, 63)]:
-        val = integrate(lambda z: eval_phi(spec, n, z) * eval_phi(spec, m, z), 0.0, 1.0, cfg)
-        assert abs(val - (1.0 if n == m else 0.0)) <= 1e-12
+    z, w = panel_nodes(0.0, 1.0, QuadratureConfig())
+    phi = phi_matrix(BasisSpec(n_basis=64), z)
+    gram = (phi * w) @ phi.T
+    assert np.max(np.abs(gram - np.eye(64))) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,0 +1,217 @@
+"""Config values: one kind rule per field, the same for files, flags and
+direct construction; README's config example and CLI synopsis stay true."""
+
+import argparse
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lagssm import ArgumentError, QuadratureConfig, WarpSpec
+from lagssm.cli import build_parser, config_from_args, main
+from lagssm.experiments import ExperimentConfig, SignalConfig
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _real(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _reals(n=None):
+    return lambda v: type(v) is tuple and n in (None, len(v)) and all(map(_real, v))
+
+
+def _of(*types):
+    return lambda v: type(v) in types
+
+
+# What each field must hold once built, written out independently of the
+# annotations the package reads.
+KINDS = {
+    ExperimentConfig: {
+        "n_basis": _of(int),
+        "delta": _real,
+        "total_time": _real,
+        "warp": _of(WarpSpec),
+        "input_model": _of(str),
+        "quadrature": _of(QuadratureConfig),
+        "signal": _of(SignalConfig),
+        "output_dir": _of(str),
+    },
+    WarpSpec: {"family": _of(str), "rate": _real},
+    QuadratureConfig: {"points_per_panel": _of(int), "panels": _of(int)},
+    SignalConfig: {
+        "kind": _of(str),
+        "sigma": _real,
+        "rho": _real,
+        "beta": _real,
+        "x0": _reals(3),
+        "burn_in": _of(int),
+        "normalize": _of(bool),
+        "freqs": _reals(),
+        "amps": _reals(),
+        "phases": _reals(),
+        "csv_path": _of(str, type(None)),
+    },
+}
+
+NUMBERS = st.integers(-3, 300) | st.integers() | st.floats()
+VALUES = (
+    st.booleans()
+    | NUMBERS
+    | st.sampled_from(["exponential", "zoh", "foh", "lorenz", "sine", "out", ""])
+    | st.text(max_size=4)
+    | st.none()
+    | st.lists(NUMBERS | st.booleans() | st.text(max_size=2), max_size=4)
+    | st.dictionaries(st.text("abxyz", min_size=1, max_size=3), st.integers(), max_size=2)
+)
+
+
+SECTIONS = {"warp": WarpSpec, "quadrature": QuadratureConfig, "signal": SignalConfig}
+
+
+def _section(cls):
+    """A JSON object of some of cls's fields, each drawn from VALUES (or,
+    for a nested section, from VALUES or that section's objects), and
+    sometimes an unknown key."""
+    optional = {
+        name: VALUES | _section(SECTIONS[name]) if name in SECTIONS else VALUES
+        for name in KINDS[cls]
+    }
+    optional["bogus"] = VALUES
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+def _keys(raw):
+    if isinstance(raw, dict):
+        for key, value in raw.items():
+            yield key
+            yield from _keys(value)
+
+
+def _assert_kinds(obj):
+    for name, has_kind in KINDS[type(obj)].items():
+        value = getattr(obj, name)
+        assert has_kind(value), f"{type(obj).__name__}.{name} = {value!r}"
+        if type(value) in KINDS:
+            _assert_kinds(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=VALUES | _section(ExperimentConfig))
+def test_from_dict_gives_kinds_or_names_the_field(raw):
+    """Every input either builds a config whose every field holds its kind,
+    or raises ArgumentError naming a key it was given; nothing else."""
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ArgumentError as exc:
+        named = [key for key in _keys(raw) if re.search(rf"\b{re.escape(key)}\b", str(exc))]
+        assert named or "config must be a JSON object" in str(exc), str(exc)
+    else:
+        _assert_kinds(cfg)
+
+
+NEWLY_CHECKED = [
+    ({"warp": {"rate": True}}, "warp rate"),
+    ({"quadrature": {"panels": True}}, "quadrature panels"),
+    ({"quadrature": {"panels": 8.5}}, "quadrature panels"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"output_dir": None}, "output_dir"),
+    ({"delta": 10**400}, "delta"),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, named",
+    NEWLY_CHECKED,
+    ids=[
+        "rate-a-bool",
+        "panels-a-bool",
+        "panels-fractional",
+        "output_dir-a-number",
+        "output_dir-null",
+        "delta-beyond-float-range",
+    ],
+)
+def test_newly_checked_value_is_an_error(tmp_path, monkeypatch, capsys, raw, named):
+    """These values passed unchecked, or escaped as TypeError or
+    OverflowError, before."""
+    monkeypatch.chdir(tmp_path)  # where output_dir's default "out" would land
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = main(["matrices", "--config", str(cfg_path), "--n", "4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+    section = next(iter(raw))
+    if section in ("warp", "quadrature"):
+        cls = {"warp": WarpSpec, "quadrature": QuadratureConfig}[section]
+        with pytest.raises(ArgumentError, match=named):
+            cls(**raw[section])
+
+
+@pytest.mark.parametrize(
+    "content, flags, named",
+    [
+        ({"warp": 3}, ["--tau", "2"], "warp"),
+        ({"n_basis": "8"}, ["--n", "3"], "n_basis"),
+        ({"signal": {"x0": [1, 2]}}, ["--signal", "sine"], "x0"),
+    ],
+    ids=["warp-not-an-object", "n_basis-a-string", "x0-two-entries"],
+)
+def test_flags_do_not_mend_a_bad_file(tmp_path, capsys, content, flags, named):
+    """A flag overrides a file value, but the file must be valid on its own."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    code = main(["matrices", "--config", str(cfg_path), "--out", str(out), *flags])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_write_over_file_values(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"warp": {"rate": 3.0}, "signal": {"kind": "csv", "csv_path": "x.csv"}})
+    )
+    args = build_parser().parse_args(
+        ["reconstruct", "--config", str(cfg_path), "--warp", "exp", "--signal", "sine",
+         "--quad-panels", "2", "--no-normalize"]
+    )
+    cfg = config_from_args(args)
+    assert cfg.warp == WarpSpec(family="exponential", rate=3.0)
+    assert (cfg.signal.kind, cfg.signal.csv_path, cfg.signal.normalize) == ("sine", None, False)
+    assert cfg.quadrature == QuadratureConfig(points_per_panel=64, panels=2)
+
+
+def _readme_block(heading, lang=""):
+    text = README.read_text(encoding="utf-8")
+    after = text[text.index(heading):]
+    return re.search(rf"```{lang}\n(.*?)```", after, re.S).group(1)
+
+
+def test_readme_config_example_loads():
+    raw = json.loads(_readme_block("### Config file", "json"))
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.signal.x0 == (1, 1, 1)
+    assert cfg == ExperimentConfig(signal=SignalConfig(sigma=10, rho=28, x0=(1, 1, 1)))
+
+
+def test_readme_synopsis_lists_every_flag():
+    documented = set(re.findall(r"--[a-z][a-z-]*", _readme_block("## CLI")))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        opt
+        for p in sub.choices.values()
+        for action in p._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert documented == parsed

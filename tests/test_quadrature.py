@@ -51,10 +51,11 @@ class TestIntegrate:
         assert val == pytest.approx(np.e - 1.0, abs=1e-12)
 
     def test_normalized_legendre_self_product(self):
-        from lagssm import BasisSpec, eval_phi
+        from lagssm import BasisSpec
+        from lagssm.basis import phi_matrix
 
         spec = BasisSpec(n_basis=4)
-        val = integrate(lambda z: eval_phi(spec, 3, z) ** 2, 0.0, 1.0)
+        val = integrate(lambda z: phi_matrix(spec, z)[3, 0] ** 2, 0.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_polynomial_exactness(self):

@@ -18,7 +18,6 @@ from lagssm import (
     build_b_delta,
     build_b_gen,
     correct_a_delta,
-    eval_phi,
     hippo_legs_reference,
     matrix_exp,
     project_direct,
@@ -178,7 +177,7 @@ class TestReconstruct:
         on a 200-point grid."""
         spec = BasisSpec(n_basis=8)
         t = 4.0
-        u = lambda s: eval_phi(spec, 2, np.exp(s - t))
+        u = lambda s: phi_matrix(spec, np.exp(s - t))[2, 0]
         state = project_direct(u, spec, W, t, QUAD)
         grid = np.linspace(t - 6.0, t, 200)
         got = reconstruct(state, spec, W, grid)
@@ -197,7 +196,7 @@ class TestProjectDirect:
         spec = BasisSpec(n_basis=6)
         t = 2.5
         state = project_direct(
-            lambda s: eval_phi(spec, 1, np.exp(s - t)), spec, W, t, QUAD
+            lambda s: phi_matrix(spec, np.exp(s - t))[1, 0], spec, W, t, QUAD
         )
         expect = np.zeros(6)
         expect[1] = 1.0

@@ -3,7 +3,8 @@
 phi_n(z) = sqrt(2n+1) * P_n(2z - 1), orthonormal under the plain Lebesgue
 inner product on (0, 1].  Arguments outside (0, 1] are allowed: the
 polynomials extend analytically, and the discrete-transition integrands
-evaluate them slightly beyond 1.
+evaluate them slightly beyond 1.  This is the one basis the package builds;
+matrices' lag_matrix and build_a_gen use its Jacobi matrix directly.
 """
 
 from __future__ import annotations
@@ -15,22 +16,17 @@ import numpy as np
 from ._schema import check_fields
 from .errors import ArgumentError
 
-LEGENDRE_SHIFTED = "legendre_shifted"
-
 MAX_BASIS_SIZE = 256
 
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """An orthonormal polynomial family and its truncation size."""
+    """The shifted Legendre basis truncated to n_basis modes."""
 
     n_basis: int
-    family: str = LEGENDRE_SHIFTED
 
     def __post_init__(self):
         check_fields(self, "basis")
-        if self.family != LEGENDRE_SHIFTED:
-            raise ArgumentError(f"unknown basis family: {self.family!r}")
         if not (1 <= self.n_basis <= MAX_BASIS_SIZE):
             raise ArgumentError(
                 f"n_basis must be in [1, {MAX_BASIS_SIZE}], got {self.n_basis}"
@@ -63,20 +59,3 @@ def phi_matrix(spec: BasisSpec, z: np.ndarray) -> np.ndarray:
     p = _legendre_stack(spec.n_basis, 2.0 * z - 1.0)
     return p * boundary_values(spec)[:, None]
 
-
-def phi_deriv_matrix(spec: BasisSpec, z: np.ndarray) -> np.ndarray:
-    """Stack of basis derivatives, shape (N, len(z)).
-
-    Runs the derivative recurrence P'_{k+1} = P'_{k-1} + (2k+1) P_k over
-    the value stack; it needs no special case at the endpoints x = +-1.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    n = spec.n_basis
-    p = _legendre_stack(n, 2.0 * z - 1.0)
-    dp = np.empty_like(p)
-    dp[0] = 0.0
-    if n > 1:
-        dp[1] = 1.0
-    for k in range(1, n - 1):
-        dp[k + 1] = dp[k - 1] + (2 * k + 1) * p[k]
-    return 2.0 * dp * boundary_values(spec)[:, None]

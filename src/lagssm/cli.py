@@ -16,15 +16,12 @@ from .experiments import (
     cmd_tables,
 )
 
-_WARP_FAMILIES = {"exp": "exponential", "exponential": "exponential"}
-
 # Each common flag, the config key path it writes, and its argparse options.
 # --signal writes a dict of signal keys (see _signal_keys).
 _FLAGS = (
     ("--n", ("n_basis",), dict(type=int, help="basis size")),
     ("--delta", ("delta",), dict(type=float, help="time step")),
     ("--total-time", ("total_time",), dict(type=float, help="signal duration")),
-    ("--warp", ("warp", "family"), dict(choices=sorted(_WARP_FAMILIES), help="warp family")),
     ("--tau", ("warp", "rate"), dict(type=float, help="warp rate")),
     ("--input-model", ("input_model",), dict(choices=["dirac", "zoh", "foh"], help="hold model")),
     ("--quad-points", ("quadrature", "points_per_panel"),
@@ -47,10 +44,6 @@ def _signal_keys(value: str) -> dict:
     if value.startswith("csv:"):
         return {"kind": "csv", "csv_path": value[len("csv:"):]}
     raise LagssmError(f"unknown signal {value!r}")
-
-
-# Flag values that are spelled differently in the config file.
-_TO_CONFIG = {"--warp": _WARP_FAMILIES.__getitem__, "--signal": _signal_keys}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -101,7 +94,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for flag, path, _ in _FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            _write(raw, path, _TO_CONFIG.get(flag, lambda v: v)(value))
+            _write(raw, path, _signal_keys(value) if flag == "--signal" else value)
     return ExperimentConfig.from_dict(raw)
 
 

@@ -131,6 +131,8 @@ class ExperimentConfig:
         # operator; signal-driven commands reject it when they divide by it.
         if self.delta < 0.0 or self.total_time <= 0.0:
             raise ArgumentError("delta must be nonnegative and total_time positive")
+        if not self.output_dir:
+            raise ArgumentError("output_dir must be a nonempty path")
         BasisSpec(n_basis=self.n_basis)  # checks n_basis now, not at first use
 
     @property
@@ -153,8 +155,22 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
     """Materialize the configured input trace with spacing cfg.delta."""
     if cfg.delta == 0.0:
         raise ArgumentError("signal generation needs a positive delta")
-    steps = int(round(cfg.total_time / cfg.delta))
     sig = cfg.signal
+    if sig.kind == "csv":
+        if not sig.csv_path:
+            raise ArgumentError("csv signal needs a path")
+        trace = SignalTrace.from_csv(sig.csv_path)
+        if abs(trace.delta - cfg.delta) > 1e-12:
+            raise ArgumentError(
+                f"trace spacing {trace.delta} does not match configured delta {cfg.delta}"
+            )
+        return trace
+    steps = int(round(cfg.total_time / cfg.delta))
+    if steps < 1:
+        raise ArgumentError(
+            f"total_time={cfg.total_time} is under half of delta={cfg.delta}, "
+            "so the signal has no samples"
+        )
     if sig.kind == "lorenz":
         params = LorenzParams(
             sigma=sig.sigma,
@@ -169,15 +185,6 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
         return normalize_trace(trace) if sig.normalize else trace
     if sig.kind == "sine":
         return sine_mixture(sig.freqs, sig.amps, sig.phases, cfg.delta, steps)
-    if sig.kind == "csv":
-        if not sig.csv_path:
-            raise ArgumentError("csv signal needs a path")
-        trace = SignalTrace.from_csv(sig.csv_path)
-        if abs(trace.delta - cfg.delta) > 1e-12:
-            raise ArgumentError(
-                f"trace spacing {trace.delta} does not match configured delta {cfg.delta}"
-            )
-        return trace
     raise ArgumentError(f"unknown signal kind {sig.kind!r}")
 
 
@@ -405,7 +412,6 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
     meta = {
         "n_basis": cfg.n_basis,
         "delta": cfg.delta,
-        "warp_family": warp.family,
         "tau": warp.rate,
         "input_model": cfg.input_model,
         "quad_points": quad.points_per_panel,

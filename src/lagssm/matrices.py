@@ -119,20 +119,21 @@ def build_a_delta(
     warp: WarpSpec,
     delta: float,
     quad: QuadratureConfig = QuadratureConfig(),
-    allow_large_delta: bool = False,
 ) -> np.ndarray:
-    """Exact discrete transition of the basis stack over one step.
+    """Discrete transition of the basis stack over one step, on the
+    composite rule.
 
     Entry (n, m) integrates phi_n(z) * phi_m(lag(delta, z)) over (0, 1].
     For the exponential warp this is upper triangular with diagonal
-    exp(n * delta / tau).
+    exp(n * delta / tau); lag_matrix(basis, exp(delta / tau)) is its exact
+    form, for any delta.
     """
     if delta < 0.0:
         raise ArgumentError(f"delta must be nonnegative, got {delta}")
-    if delta > DELTA_CAP and not allow_large_delta:
+    if delta > DELTA_CAP:
         raise ArgumentError(
-            f"delta={delta} exceeds the cap {DELTA_CAP}; "
-            "pass allow_large_delta=True to override"
+            f"delta={delta} exceeds the cap {DELTA_CAP} of the quadrature-built "
+            "a_delta; lag_matrix(basis, exp(delta / tau)) is exact for any delta"
         )
     z, w = panel_nodes(0.0, 1.0, quad)
     phi = phi_matrix(basis, z)
@@ -251,7 +252,7 @@ def build_b_delta(
 ) -> np.ndarray | FohVectors:
     """Discrete input vector(s) for one hold model.
 
-    dirac: phi_n(1) |f'(0)|, independent of delta.
+    dirac: b_gen = phi_n(1) f'(0), independent of delta.
     zoh:   integral of phi_n over [f(-delta), 1].
     foh:   FohVectors(v_next, v_prev) with v_next = I1 + Ig/delta and
            v_prev = -Ig/delta, where I1 integrates phi_n and Ig integrates
@@ -273,7 +274,7 @@ def build_b_delta(
     if model not in INPUT_MODELS:
         raise ArgumentError(f"unknown input model {model!r}; pick from {INPUT_MODELS}")
     if model == DIRAC:
-        return boundary_values(basis) * abs(warp.f_prime(0.0))
+        return build_b_gen(basis, warp)
     if delta <= 0.0:
         raise ArgumentError(f"delta must be positive for {model}, got {delta}")
     c = warp.f(-delta)

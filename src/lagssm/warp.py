@@ -1,10 +1,11 @@
-"""Stationary time warps sigma_t(s) = f(s - t) onto the canonical interval.
+"""The exponential time warp sigma_t(s) = f(s - t) onto the canonical interval.
 
-A warp carries the quadruple (f, g = f^{-1}, f', g') analytically per
-family; every integral downstream needs g and f' exactly, so nothing is
-inverted numerically.  The exponential family with rate tau is
-f(x) = exp(x / tau), giving the induced measure f'(s - t) and the backward
-lag f(delta + g(z)) = exp(delta / tau) * z.
+f(x) = exp(x / tau) with rate tau, its inverse g(z) = tau log z and its
+derivative f' are closed forms, so nothing is inverted numerically.  The
+induced measure is f'(s - t) and the backward lag f(delta + g(z)) =
+exp(delta / tau) * z.  This is the one warp the package builds: the exact
+builders in matrices (lag_matrix's dilation, build_a_gen's D / tau, the
+hold vectors' expm1(-delta / tau)) are written for it.
 """
 
 from __future__ import annotations
@@ -16,20 +17,14 @@ import numpy as np
 from ._schema import check_fields
 from .errors import ArgumentError, DomainError
 
-EXPONENTIAL = "exponential"
-
-
 @dataclass(frozen=True)
 class WarpSpec:
-    """A stationary warp family with its rate parameter."""
+    """The exponential warp f(x) = exp(x / rate)."""
 
-    family: str = EXPONENTIAL
     rate: float = 1.0
 
     def __post_init__(self):
         check_fields(self, "warp")
-        if self.family != EXPONENTIAL:
-            raise ArgumentError(f"unknown warp family: {self.family!r}")
         if self.rate <= 0.0:
             raise ArgumentError(f"rate must be a positive real, got {self.rate}")
 
@@ -41,9 +36,6 @@ class WarpSpec:
 
     def f_prime(self, x):
         return np.exp(x / self.rate) / self.rate
-
-    def g_prime(self, z):
-        return self.rate / z
 
 
 def warp_forward(w: WarpSpec, t: float, s) -> float:

@@ -1,14 +1,13 @@
-"""Basis evaluation: recurrence correctness, derivatives, boundary values."""
+"""Basis evaluation: recurrence correctness, boundary values."""
 
 import numpy as np
 import pytest
-from numpy.polynomial import legendre
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagssm import ArgumentError, BasisSpec, boundary_values
-from lagssm.basis import phi_deriv_matrix, phi_matrix
+from lagssm.basis import phi_matrix
 from lagssm.quadrature import QuadratureConfig, gauss_rule, panel_nodes
 
 SQRT3 = np.sqrt(3.0)
@@ -52,45 +51,6 @@ class TestEvalPhi:
         for n in range(6):
             expect = np.sqrt(2 * n + 1) * legendre_monomial(n, 2 * z - 1)
             np.testing.assert_allclose(got[n], expect, rtol=1e-13, atol=1e-13)
-
-
-class TestEvalPhiDeriv:
-    """Single basis derivatives, read off phi_deriv_matrix."""
-
-    def test_constant_mode_derivative(self):
-        spec = BasisSpec(n_basis=2)
-        assert phi_deriv_matrix(spec, 0.7)[0, 0] == 0.0
-
-    def test_linear_mode_derivative(self):
-        spec = BasisSpec(n_basis=2)
-        for d in phi_deriv_matrix(spec, [0.0, 0.3, 1.0, 1.7])[1]:
-            assert d == pytest.approx(2 * SQRT3, abs=1e-13)
-
-    def test_finite_difference_single(self):
-        spec = BasisSpec(n_basis=6)
-        h = 1e-6
-        plus, minus = phi_matrix(spec, [0.42 + h, 0.42 - h])[5]
-        fd = (plus - minus) / (2 * h)
-        assert phi_deriv_matrix(spec, 0.42)[5, 0] == pytest.approx(fd, abs=1e-6)
-
-    def test_finite_difference_sweep(self):
-        """Central differences confirm the derivative for n < 32 on (0.05, 0.95)."""
-        spec = BasisSpec(n_basis=32)
-        h = 1e-6
-        z = np.linspace(0.05, 0.95, 19)
-        fd = (phi_matrix(spec, z + h) - phi_matrix(spec, z - h)) / (2 * h)
-        rows = slice(0, 32, 3)
-        assert np.max(np.abs(phi_deriv_matrix(spec, z)[rows] - fd[rows])) <= 1e-6
-
-    def test_endpoint_limits(self):
-        # At z = 1 (x = 1) the ratio form switches to its limit n(n+1)/2.
-        spec = BasisSpec(n_basis=12)
-        at_one, at_zero = phi_deriv_matrix(spec, [1.0, 0.0]).T
-        for n in range(12):
-            expect = np.sqrt(2 * n + 1) * n * (n + 1)
-            assert at_one[n] == pytest.approx(expect, rel=1e-13)
-            expect0 = (-1.0) ** (n - 1) * np.sqrt(2 * n + 1) * n * (n + 1)
-            assert at_zero[n] == pytest.approx(expect0, rel=1e-13)
 
 
 class TestEvalPhiAll:
@@ -141,21 +101,6 @@ class TestVectorizedStacks:
         for j, zj in enumerate(z):
             np.testing.assert_array_equal(mat[:, j], phi_matrix(spec, zj)[:, 0])
 
-    def test_phi_deriv_matrix_matches_scalar(self):
-        """The derivative recurrence agrees with the ratio form
-        P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1), taken one n at a time
-        away from x = +-1, with P_n from numpy's Clenshaw evaluation."""
-        spec = BasisSpec(n_basis=16)
-        z = np.linspace(0.05, 0.95, 7)
-        x = 2 * z - 1
-        p = [legendre.legval(x, np.eye(16)[n]) for n in range(16)]
-        mat = phi_deriv_matrix(spec, z)
-        for n in range(1, 16):
-            ratio = n * (x * p[n] - p[n - 1]) / (x * x - 1)
-            expect = 2 * np.sqrt(2 * n + 1) * ratio
-            np.testing.assert_allclose(mat[n], expect, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(mat[0], 0.0)
-
 
 def test_orthonormality():
     """Quadrature Gram matrix of the first 64 modes is the identity to 1e-12."""
@@ -184,5 +129,3 @@ def test_spec_validation():
     for not_an_int in ("8", 8.5, True):
         with pytest.raises(ArgumentError, match="integer"):
             BasisSpec(n_basis=not_an_int)
-    with pytest.raises(ArgumentError):
-        BasisSpec(n_basis=4, family="fourier")

@@ -188,6 +188,9 @@ class TestMatricesCommand:
         assert "b_delta_foh_v_next" in arrays
         assert "b_delta_foh_v_prev" in arrays
         assert meta["n_basis"] == 2
+        assert sorted(meta) == [
+            "delta", "input_model", "n_basis", "quad_panels", "quad_points", "tau"
+        ]
 
     def test_round_trip_bit_identical(self, tmp_path):
         from lagssm.matrices import load_matrices_json
@@ -281,6 +284,7 @@ class TestConfigHandling:
             ({"warp": {"tau": 3}}, "tau"),
             ({"quadrature": {"points": 16}}, "points"),
             ({"signal": {"kindd": 1}}, "kindd"),
+            ({"warp": {"family": "exponential"}}, "family"),
         ],
     )
     def test_unknown_key_is_an_error(self, tmp_path, capsys, raw, key):
@@ -361,7 +365,7 @@ class TestConfigHandling:
         cfg = ExperimentConfig.from_dict(
             {
                 "n_basis": 8,
-                "warp": {"family": "exponential", "rate": 2.0},
+                "warp": {"rate": 2.0},
                 "quadrature": {"points_per_panel": 32, "panels": 4},
                 "signal": {"kind": "lorenz", "x0": [1.5, 1.0, 1.0], "burn_in": 3},
             }

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagssm import ArgumentError, QuadratureConfig, WarpSpec
+from lagssm import (
+    ArgumentError,
+    QuadratureConfig,
+    WarpSpec,
+    frobenius_rel_diff,
+    hippo_legs_reference,
+    matrix_exp,
+)
 from lagssm.cli import build_parser, config_from_args, main
 from lagssm.experiments import ExperimentConfig, SignalConfig
 
@@ -43,7 +50,7 @@ KINDS = {
         "signal": _of(SignalConfig),
         "output_dir": _of(str),
     },
-    WarpSpec: {"family": _of(str), "rate": _real},
+    WarpSpec: {"rate": _real},
     QuadratureConfig: {"points_per_panel": _of(int), "panels": _of(int)},
     SignalConfig: {
         "kind": _of(str),
@@ -123,6 +130,7 @@ NEWLY_CHECKED = [
     ({"output_dir": 5}, "output_dir"),
     ({"output_dir": None}, "output_dir"),
     ({"delta": 10**400}, "delta"),
+    ({"output_dir": ""}, "output_dir"),
 ]
 
 
@@ -136,11 +144,12 @@ NEWLY_CHECKED = [
         "output_dir-a-number",
         "output_dir-null",
         "delta-beyond-float-range",
+        "output_dir-empty",
     ],
 )
 def test_newly_checked_value_is_an_error(tmp_path, monkeypatch, capsys, raw, named):
-    """These values passed unchecked, or escaped as TypeError or
-    OverflowError, before."""
+    """These values passed unchecked, or escaped as TypeError,
+    OverflowError or FileNotFoundError, before."""
     monkeypatch.chdir(tmp_path)  # where output_dir's default "out" would land
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
@@ -182,11 +191,11 @@ def test_flags_write_over_file_values(tmp_path):
         json.dumps({"warp": {"rate": 3.0}, "signal": {"kind": "csv", "csv_path": "x.csv"}})
     )
     args = build_parser().parse_args(
-        ["reconstruct", "--config", str(cfg_path), "--warp", "exp", "--signal", "sine",
+        ["reconstruct", "--config", str(cfg_path), "--signal", "sine",
          "--quad-panels", "2", "--no-normalize"]
     )
     cfg = config_from_args(args)
-    assert cfg.warp == WarpSpec(family="exponential", rate=3.0)
+    assert cfg.warp == WarpSpec(rate=3.0)
     assert (cfg.signal.kind, cfg.signal.csv_path, cfg.signal.normalize) == ("sine", None, False)
     assert cfg.quadrature == QuadratureConfig(points_per_panel=64, panels=2)
 
@@ -202,6 +211,39 @@ def test_readme_config_example_loads():
     cfg = ExperimentConfig.from_dict(raw)
     assert cfg.signal.x0 == (1, 1, 1)
     assert cfg == ExperimentConfig(signal=SignalConfig(sigma=10, rho=28, x0=(1, 1, 1)))
+
+
+def test_readme_library_example_runs():
+    """README's library example runs, gives its stated shape, and its
+    transition is exp(delta a_hippo / tau) in coefficient orientation."""
+    block = _readme_block("## Library example", "python")
+    env = {}
+    exec(block, env)
+    stated = tuple(map(int, re.search(r"# \((\d+), (\d+)\)", block).groups()))
+    assert env["states"].coeffs.shape == stated == (501, 32)
+    a_hippo = hippo_legs_reference(32).a_hippo
+    want = matrix_exp(env["delta"] * a_hippo / env["warp"].rate)
+    assert frobenius_rel_diff(want, env["a"]) <= 1e-12
+
+
+def test_short_total_time_names_total_time(tmp_path, capsys):
+    """A total_time under half a step gives no samples; the error names the
+    two values that cause it, not the derived step count."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"total_time": 0.001}))
+    out = tmp_path / "out"
+    code = main(["reconstruct", "--config", str(cfg_path), "--n", "8", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: total_time=0.001") and "delta=0.01" in err
+    assert not (out / "recon.csv").exists()
+
+
+def test_removed_warp_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["matrices", "--warp", "exp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --warp" in capsys.readouterr().err
 
 
 def test_readme_synopsis_lists_every_flag():

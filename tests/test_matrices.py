@@ -184,10 +184,8 @@ class TestADelta:
 
     def test_delta_cap(self):
         spec = BasisSpec(n_basis=4)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="lag_matrix"):
             build_a_delta(spec, W, 0.6, QUAD)
-        a = build_a_delta(spec, W, 0.6, QUAD, allow_large_delta=True)
-        assert np.all(np.isfinite(a))
 
     def test_rate_scales_diagonal(self):
         w2 = WarpSpec(rate=2.0)
@@ -251,6 +249,10 @@ class TestBDelta:
         b1 = build_b_delta(spec, W, 0.01, "dirac", QUAD)
         b2 = build_b_delta(spec, W, 0.25, "dirac", QUAD)
         np.testing.assert_array_equal(b1, b2)
+
+    def test_dirac_is_b_gen(self):
+        spec, w2 = BasisSpec(n_basis=8), WarpSpec(rate=2.0)
+        np.testing.assert_array_equal(build_b_delta(spec, w2, 0.01, "dirac"), build_b_gen(spec, w2))
 
     def test_zoh_constant_mode_closed_form(self):
         for delta in (0.01, 0.1, 0.3):

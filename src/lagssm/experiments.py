@@ -65,6 +65,7 @@ TABLE3_FIRST_BAND = (2e-5, 2e-4)
 RECONSTRUCT_MSE_TOL = 1e-5
 LAGSHIFT_GRID_POINTS = 500
 RECON_GRID_POINTS = 1000
+SIGNAL_KINDS = ("lorenz", "sine", "csv")
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,12 @@ class SignalConfig:
 
     def __post_init__(self):
         check_fields(self, "signal")
+        if self.kind not in SIGNAL_KINDS:
+            raise ArgumentError(
+                f"unknown signal kind {self.kind!r}; expected one of {list(SIGNAL_KINDS)}"
+            )
+        if self.kind == "csv" and not self.csv_path:
+            raise ArgumentError("signal kind 'csv' needs a csv_path")
         if self.burn_in < 0:
             raise ArgumentError(
                 f"signal burn_in must be a nonnegative integer, got {self.burn_in!r}"
@@ -157,8 +164,6 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
         raise ArgumentError("signal generation needs a positive delta")
     sig = cfg.signal
     if sig.kind == "csv":
-        if not sig.csv_path:
-            raise ArgumentError("csv signal needs a path")
         trace = SignalTrace.from_csv(sig.csv_path)
         if abs(trace.delta - cfg.delta) > 1e-12:
             raise ArgumentError(
@@ -183,9 +188,7 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
         )
         trace = lorenz63(params)
         return normalize_trace(trace) if sig.normalize else trace
-    if sig.kind == "sine":
-        return sine_mixture(sig.freqs, sig.amps, sig.phases, cfg.delta, steps)
-    raise ArgumentError(f"unknown signal kind {sig.kind!r}")
+    return sine_mixture(sig.freqs, sig.amps, sig.phases, cfg.delta, steps)
 
 
 def _write_table(path, header: list[str], table) -> None:

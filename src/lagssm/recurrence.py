@@ -25,6 +25,7 @@ from .warp import WarpSpec, warp_forward, warp_inverse
 
 _UNIFORM_TOL = 1e-12
 _MAX_CHUNK = 32
+_BLOCK_CHUNKS = 64
 
 
 @dataclass(frozen=True)
@@ -144,24 +145,50 @@ def step(
 
 
 class Trajectory(Sequence):
-    """Read-only sequence of the L+1 states of one run.
+    """Read-only sequence of the L+1 states of one run, built on demand.
 
-    `coeffs` holds every state as one (L+1, N) array.  Item k is built on
-    demand as a MemoryState at t = k * delta holding a copy of row k; a
-    slice gives a list of such states.
+    `run` stops at the two operands of the chunk product: row c of
+    lhs @ rhs holds the K states cK+1, ..., cK+K (see `run`).  States are
+    built in aligned blocks of _BLOCK_CHUNKS chunks, one lhs[block] @ rhs
+    product per block, and the last block read is kept, so `states[-1]`
+    costs one block and iterating costs one product per block.  `coeffs`
+    fills every state into one (L+1, N) array, block by block through the
+    same product, on first read.  A state is therefore bit-identical
+    however and in whatever order it is read; a one-row product is not
+    bit-equal to that row of a larger one, so blocks are never split.
+
+    A block that holds a non-finite state raises ArgumentError naming the
+    first non-finite state of the run.  Item k is a MemoryState at
+    t = k * delta holding a copy of row k; a slice gives a list of such
+    states.
     """
 
-    def __init__(self, coeffs: np.ndarray, delta: float):
-        coeffs.flags.writeable = False
-        self._coeffs = coeffs
+    def __init__(self, lhs: np.ndarray, rhs: np.ndarray, chunk: int, steps: int, delta: float):
+        self._lhs = lhs
+        self._rhs = rhs
+        self._chunk = chunk
+        self._n = rhs.shape[1] // chunk
+        self._steps = steps
         self._delta = delta
+        self._blocks = -(-lhs.shape[0] // _BLOCK_CHUNKS)
+        self._cached = (None, None)
+        self._coeffs = None
 
     @property
     def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            out = np.empty((len(self), self._n))
+            out[0] = 0.0
+            for i in range(self._blocks):
+                rows = self._block(i)
+                first = self._first_state(i)
+                out[first : first + len(rows)] = rows
+            out.flags.writeable = False
+            self._coeffs = out
         return self._coeffs
 
     def __len__(self) -> int:
-        return self._coeffs.shape[0]
+        return self._steps + 1
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -174,7 +201,45 @@ class Trajectory(Sequence):
         return self._state(k)
 
     def _state(self, k: int) -> MemoryState:
-        return MemoryState(coeffs=self._coeffs[k].copy(), t=k * self._delta)
+        if self._coeffs is not None:
+            row = self._coeffs[k]
+        elif k == 0:
+            row = np.zeros(self._n)
+        else:
+            i = (k - 1) // (self._chunk * _BLOCK_CHUNKS)
+            row = self._block(i)[k - self._first_state(i)]
+        return MemoryState(coeffs=row.copy(), t=k * self._delta)
+
+    def _first_state(self, i: int) -> int:
+        return 1 + i * _BLOCK_CHUNKS * self._chunk
+
+    def _product(self, i: int) -> np.ndarray:
+        """States of block i as rows, past state L dropped; unchecked."""
+        g = _BLOCK_CHUNKS
+        # An unstable a overflows; the caller reports the first bad state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = (self._lhs[i * g : (i + 1) * g] @ self._rhs).reshape(-1, self._n)
+        return rows[: len(self) - self._first_state(i)]
+
+    def _block(self, i: int) -> np.ndarray:
+        if self._cached[0] != i:
+            rows = self._product(i)
+            if not np.isfinite(rows).all():
+                self._raise_first_non_finite(i)
+            self._cached = (i, rows)
+        return self._cached[1]
+
+    def _raise_first_non_finite(self, last: int) -> None:
+        """Raise naming the first non-finite state in blocks 0..last; one of
+        them must hold one."""
+        for i in range(last + 1):
+            finite = np.isfinite(self._product(i)).all(axis=1)
+            if not finite.all():
+                k = self._first_state(i) + int(np.argmin(finite))
+                raise ArgumentError(
+                    f"coeffs must be finite: state {k} (t={k * self._delta!r}) "
+                    "is the first non-finite one"
+                )
 
 
 def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
@@ -183,11 +248,20 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     Sample k covers the interval [k delta, (k+1) delta), so the state after
     consuming it sits at (k+1) delta.  Times are step-count multiples of
     delta rather than a running float sum.  Returns the initial state
-    followed by one state per sample.
+    followed by one state per sample, as a Trajectory that builds them on
+    demand: `run(...)[-1]` costs the chunk-start pass plus one block.
 
     Equivalent to folding `step` over the trace (the reference path), up to
-    rounding: the states are summed in chunks (see _chunked_states), not one
-    step at a time.
+    rounding: the states are summed in chunks, not one step at a time.
+    With x_{k+1} = a x_k + b w_k (b is (N, m), w is (L, m)), the steps are
+    cut into chunks of K; chunk c starts from s_c = x_{cK}, and inside it
+        x_{cK+j+1} = a^{j+1} s_c + sum_{i<=j} a^{j-i} b w_{cK+i}.
+    The chunk starts come from a serial recurrence with a^K (L/K mat-vecs);
+    then [s_c | w_{cK..cK+K-1}] @ [a^{j+1}^T ; Toeplitz(a^{j-i} b)^T] gives
+    chunk c's states, a product the Trajectory forms block by block.
+    K = clamp(L // N, 1, 32) keeps the powers and the operands no larger
+    than the trajectory itself.  A non-finite chunk start or final state
+    raises ArgumentError naming the first non-finite state.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -196,68 +270,50 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     u = trace.values
     if isinstance(b_model, FohVectors):
         columns = (b_model.v_next, b_model.v_prev)
-        inputs = np.column_stack([u, np.concatenate(([0.0], u[:-1]))])
+        w = np.column_stack([u, np.concatenate(([0.0], u[:-1]))])
     else:
         columns = (b_model,)
-        inputs = u[:, None]
+        w = u[:, None]
     columns = [np.asarray(col, dtype=float) for col in columns]
     if any(col.shape != (n,) for col in columns):
         shapes = [col.shape for col in columns]
         raise ArgumentError(f"b_model vectors must have shape ({n},) to match a, got {shapes}")
-    # An unstable a overflows; that is reported below as the first bad state.
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _chunked_states(a, np.column_stack(columns), inputs)
-    finite = np.isfinite(coeffs).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ArgumentError(
-            f"coeffs must be finite: state {k} (t={k * trace.delta!r}) is the first non-finite one"
-        )
-    return Trajectory(coeffs, trace.delta)
+    b = np.column_stack(columns)
 
-
-def _chunked_states(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows x_0 = 0, x_1, ..., x_L of x_{k+1} = a x_k + b w_k.
-
-    b is (N, m) and w is (L, m).  The steps are cut into chunks of K; chunk c
-    starts from s_c = x_{cK}, and inside it
-        x_{cK+j+1} = a^{j+1} s_c + sum_{i<=j} a^{j-i} b w_{cK+i}.
-    The chunk starts come from a serial recurrence with a^K (L/K mat-vecs);
-    then one GEMM, [s_c | w_{cK..cK+K-1}] @ [a^{j+1}^T ; Toeplitz(a^{j-i} b)^T],
-    fills every state.  K = clamp(L // N, 1, 32) keeps the powers and the
-    GEMM operands no larger than the trajectory itself.
-    """
     steps, m = w.shape
-    n = a.shape[0]
     k = min(_MAX_CHUNK, max(1, steps // n))
     chunks = -(-steps // k)
 
     powers = np.empty((k + 1, n, n))
     powers[0] = np.eye(n)
-    for j in range(k):
-        powers[j + 1] = a @ powers[j]
-    kernel = powers[:k] @ b
+    # An unstable a overflows; that is reported below as the first bad state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            powers[j + 1] = a @ powers[j]
+        kernel = powers[:k] @ b
 
-    # Column block j of rhs yields state cK+j+1 of chunk c.
-    rhs = np.zeros((n + k * m, k * n))
-    rhs[:n] = powers[1:].transpose(2, 0, 1).reshape(n, k * n)
-    toeplitz = rhs[n:].reshape(k, m, k, n)
-    i, j = np.triu_indices(k)
-    toeplitz[i, :, j, :] = kernel[j - i].transpose(0, 2, 1)
+        # Column block j of rhs yields state cK+j+1 of chunk c.
+        rhs = np.zeros((n + k * m, k * n))
+        rhs[:n] = powers[1:].transpose(2, 0, 1).reshape(n, k * n)
+        toeplitz = rhs[n:].reshape(k, m, k, n)
+        i, j = np.triu_indices(k)
+        toeplitz[i, :, j, :] = kernel[j - i].transpose(0, 2, 1)
 
-    padded = np.zeros((chunks * k, m))
-    padded[:steps] = w
-    lhs = np.zeros((chunks, n + k * m))
-    lhs[:, n:] = padded.reshape(chunks, k * m)
-    drive = lhs[:, n:] @ rhs[n:, (k - 1) * n :]
-    a_k = powers[k].T
-    for c in range(chunks - 1):
-        lhs[c + 1, :n] = lhs[c, :n] @ a_k + drive[c]
+        padded = np.zeros((chunks * k, m))
+        padded[:steps] = w
+        lhs = np.zeros((chunks, n + k * m))
+        lhs[:, n:] = padded.reshape(chunks, k * m)
+        drive = lhs[:, n:] @ rhs[n:, (k - 1) * n :]
+        a_k = powers[k].T
+        for c in range(chunks - 1):
+            lhs[c + 1, :n] = lhs[c, :n] @ a_k + drive[c]
 
-    out = np.empty((chunks * k + 1, n))
-    out[0] = 0.0
-    np.matmul(lhs, rhs, out=out[1:].reshape(chunks, k * n))
-    return out[: steps + 1]
+    states = Trajectory(lhs, rhs, k, steps, trace.delta)
+    last = states._blocks - 1
+    if not np.isfinite(lhs[:, :n]).all():
+        states._raise_first_non_finite(last)
+    states._block(last)  # holds the final state: checked, and kept for states[-1]
+    return states
 
 
 def reconstruct(

@@ -267,6 +267,25 @@ class TestConfigHandling:
     def test_unknown_signal_is_an_error(self, tmp_path):
         assert main(["reconstruct", "--out", str(tmp_path), "--signal", "sawtooth"]) == 2
 
+    @pytest.mark.parametrize("command", ["tables", "reconstruct", "lagshift", "matrices"])
+    @pytest.mark.parametrize(
+        "signal, named",
+        [({"kind": "bogus"}, "unknown signal kind 'bogus'"), ({"kind": "csv"}, "csv_path")],
+        ids=["unknown-kind", "csv-without-path"],
+    )
+    def test_bad_signal_kind_is_an_error_before_output(
+        self, tmp_path, capsys, command, signal, named
+    ):
+        """Every command rejects the signal section when the config is built,
+        before it makes the output directory."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"signal": signal}))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg_path), "--out", str(out), "--n", "4"])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tau_flag(self, tmp_path):
         from lagssm.matrices import load_matrices_json
 

@@ -1,5 +1,8 @@
 """Recurrence stepping, reconstruction, and the direct-projection oracle."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from lagssm import (
 )
 from lagssm.quadrature import panel_nodes
 from lagssm.basis import phi_matrix
+from lagssm.recurrence import _BLOCK_CHUNKS, _MAX_CHUNK, Trajectory
 from lagssm.signals import sine_mixture
 
 W = WarpSpec()
@@ -345,20 +349,123 @@ class TestTrajectoryView:
         assert self.states.coeffs[3, 0] != 1e9
 
 
+def first_failing_step(a, b, trace):
+    """Reference fold: the step whose state `step` first refuses as non-finite."""
+    state = MemoryState(coeffs=np.zeros(a.shape[0]), t=0.0)
+    with np.errstate(over="ignore"):
+        for k, u in enumerate(trace.values, start=1):
+            try:
+                state = step(state, a, b, float(u), delta=trace.delta)
+            except ArgumentError:
+                return k
+    return None
+
+
+class TestLazyTrajectory:
+    """`run` builds states in blocks of chunks on demand; a state must be
+    bit-identical however it is read, on and off block and chunk edges."""
+
+    BLOCK = _BLOCK_CHUNKS * _MAX_CHUNK  # states per block when K = 32 (N = 8)
+
+    @pytest.mark.parametrize(
+        "n, length, foh",
+        [
+            (8, BLOCK, False),
+            (8, BLOCK + _MAX_CHUNK, False),
+            (8, 2 * BLOCK + 5, False),
+            (8, 5, False),
+            (64, _BLOCK_CHUNKS + 36, False),
+            (8, BLOCK + _MAX_CHUNK, True),
+        ],
+        ids=[
+            "one-block",
+            "one-chunk-past-a-block",
+            "last-block-one-partial-chunk",
+            "length-below-n",
+            "k-is-1-two-blocks",
+            "foh-two-columns",
+        ],
+    )
+    def test_reads_are_bit_identical(self, n, length, foh):
+        delta = 0.01
+        ref = hippo_legs_reference(n)
+        a, b = matrix_exp(delta * ref.a_hippo), delta * ref.b_hippo
+        if foh:
+            b = FohVectors(v_next=0.5 * b, v_prev=0.5 * b)
+        values = np.random.default_rng(length).standard_normal(length)
+        trace = SignalTrace.from_values(values, delta)
+        order = np.random.default_rng(n).permutation(length + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            indexed = run(trace, a, b)
+            before = {int(k): indexed[int(k)].coeffs for k in order}
+            coeffs = indexed.coeffs
+            after = [indexed[k].coeffs for k in range(length + 1)]
+            iterated = [state.coeffs for state in run(trace, a, b)]
+            whole = run(trace, a, b).coeffs
+        assert coeffs.shape == (length + 1, n) and len(iterated) == length + 1
+        assert coeffs.tobytes() == whole.tobytes()
+        for k in range(length + 1):
+            row = coeffs[k].tobytes()
+            assert before[k].tobytes() == row
+            assert after[k].tobytes() == row
+            assert iterated[k].tobytes() == row
+
+    def test_final_state_builds_one_block_not_the_trajectory(self):
+        """run(...)[-1] at L=1e5, N=64 peaks below a quarter of the
+        (L+1) x N float64 trajectory (51.2 MB)."""
+        n, length, delta = 64, 100_000, 0.01
+        ref = hippo_legs_reference(n)
+        a, b = matrix_exp(delta * ref.a_hippo), delta * ref.b_hippo
+        trace = SignalTrace.from_values(np.random.default_rng(0).standard_normal(length), delta)
+        tracemalloc.start()
+        try:
+            final = run(trace, a, b)[-1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert final.t == length * delta
+        assert peak < (length + 1) * n * 8 / 4
+
+    def test_later_block_read_names_first_non_finite_state(self):
+        """Reading any state of a block that holds an overflow raises,
+        naming the first non-finite state of the run, even when that lies in
+        an earlier block.  Built by hand (x_{k+1} = x_k + w_k, K = 1, chunk
+        starts given) so that only blocks read later overflow."""
+        length = 4 * _BLOCK_CHUNKS
+        lhs = np.zeros((length, 2))
+        lhs[[_BLOCK_CHUNKS + 5, 2 * _BLOCK_CHUNKS + 1]] = 1e308  # blocks 1 and 2
+        states = Trajectory(lhs, np.ones((2, 1)), 1, length, 0.5)
+        first = _BLOCK_CHUNKS + 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert states[-1].coeffs[0] == 0.0
+            assert states[_BLOCK_CHUNKS].coeffs[0] == 0.0  # block 0 is finite
+            for k in (first, 2 * _BLOCK_CHUNKS + 2, first - 1):
+                with pytest.raises(
+                    ArgumentError, match=f"coeffs must be finite: state {first} \\(t={first * 0.5!r}\\)"
+                ):
+                    states[k]
+            with pytest.raises(ArgumentError, match=f"state {first} "):
+                states.coeffs
+
+
 class TestRunErrors:
     def test_unstable_transition_names_first_non_finite_state(self):
         a, b = 2.0 * np.eye(3), np.ones(3)
         trace = SignalTrace.from_values(np.ones(2000), delta=0.01)
-        # the reference fold: count the steps until a state overflows
-        state, first_bad = MemoryState(coeffs=np.zeros(3), t=0.0), None
-        with np.errstate(over="ignore"):
-            for k in range(1, 2001):
-                try:
-                    state = step(state, a, b, 1.0, delta=0.01)
-                except ArgumentError:
-                    first_bad = k
-                    break
+        first_bad = first_failing_step(a, b, trace)
         assert first_bad == 1024
+        with pytest.raises(ArgumentError, match=f"coeffs must be finite: state {first_bad} "):
+            run(trace, a, b)
+
+    def test_overflow_inside_a_chunk_names_that_state(self):
+        """3 I first overflows mid-chunk, so naming the first non-finite chunk
+        start would be wrong; run must name the state the fold fails at."""
+        a, b = 3.0 * np.eye(3), np.ones(3)
+        trace = SignalTrace.from_values(np.ones(2000), delta=0.01)
+        first_bad = first_failing_step(a, b, trace)
+        assert first_bad is not None and first_bad % _MAX_CHUNK != 0
         with pytest.raises(ArgumentError, match=f"coeffs must be finite: state {first_bad} "):
             run(trace, a, b)
 

@@ -17,7 +17,15 @@ as M(exp(delta / tau)), and the corrected transition as the forward shift
 c M(c) with c = exp(-delta / tau).  tables, reconstruct, the forward
 lagshift and matrices use these; only the default backward lagshift stays
 on the quadrature-built a_delta, and FOH's log-weighted integral on the
-composite rule.
+composite rule.  Every comparison is at rate tau: the reference pair is
+a_hippo / tau, b_hippo / tau.
+
+tables builds in one stacked pass: one a_gen, at the larger of N and the
+largest table2 size, serves all three tables through its leading blocks;
+one lag_matrix call gives the eight M(exp(+-delta / tau)), and the
+exponentials, condition numbers and Tustin solves are one stacked call
+each.  Every figure equals the one from separate scalar builds, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -212,20 +220,30 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
 
     table1: lag matrix M(exp(delta / tau)) vs matrix exponential of the
             generator.
-    table2: closed-form reference vs -(a_gen + I)^T across basis sizes.
+    table2: closed-form reference a_hippo / tau vs -(a_gen + I / tau)^T
+            across basis sizes.
     table3: forward shift c M(c), c = exp(-delta / tau), vs Tustin
-            discretization of the reference, with an exact-exponential
-            column and cond(M(exp(delta / tau))), the conditioning of the
-            backward transition (large-step rows are conditioning-limited).
+            discretization of the rate-tau reference (a_hippo / tau,
+            b_hippo / tau), with an exact-exponential column and
+            cond(M(exp(delta / tau))), the conditioning of the backward
+            transition (large-step rows are conditioning-limited).
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     checks = []
+    n, tau = cfg.n_basis, cfg.warp.rate
+    steps = np.array(TABLE_DELTAS)
 
-    a_gen = build_a_gen(cfg.basis, cfg.warp)
-    a_deltas = [lag_matrix(cfg.basis, cfg.warp.f(d)) for d in TABLE_DELTAS]
+    # Column m of a_gen's recurrence reads only earlier columns, so each
+    # leading block is bit-equal to a build at that size.
+    a_gen = build_a_gen(BasisSpec(n_basis=max(n, *TABLE2_SIZES)), cfg.warp)
+    lags = lag_matrix(
+        cfg.basis, [cfg.warp.f(s * d) for s in (1.0, -1.0) for d in TABLE_DELTAS]
+    )
+    a_deltas, shifts = lags[: len(TABLE_DELTAS)], lags[len(TABLE_DELTAS) :]
+    exps = matrix_exp(steps[:, None, None] * a_gen[:n, :n])
     rows1 = []
-    for d, a_d in zip(TABLE_DELTAS, a_deltas):
-        diff = frobenius_rel_diff(a_d, matrix_exp(d * a_gen))
+    for d, a_d, exp_d in zip(TABLE_DELTAS, a_deltas, exps):
+        diff = frobenius_rel_diff(a_d, exp_d)
         rows1.append([d, diff])
         tol = TABLE1_TOL_SMALL if d <= 1e-2 else TABLE1_TOL_LARGE
         checks.append(
@@ -238,31 +256,36 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     _write_table(os.path.join(cfg.output_dir, "table1.csv"), ["delta", "diff"], rows1)
 
     rows2 = []
-    for n in TABLE2_SIZES:
-        a_gen_n = build_a_gen(BasisSpec(n_basis=n), cfg.warp)
-        ref = hippo_legs_reference(n)
-        diff = frobenius_rel_diff(ref.a_hippo, -(a_gen_n + np.eye(n)).T)
-        rows2.append([n, diff])
+    for m in TABLE2_SIZES:
+        ref = hippo_legs_reference(m)
+        diff = frobenius_rel_diff(ref.a_hippo / tau, -(a_gen[:m, :m] + np.eye(m) / tau).T)
+        rows2.append([m, diff])
         checks.append(
             Check(
-                name=f"table2 n={n}",
+                name=f"table2 n={m}",
                 ok=diff <= TABLE2_TOL,
                 detail=f"diff={diff:.3e} (tol {TABLE2_TOL:g})",
             )
         )
     _write_table(os.path.join(cfg.output_dir, "table2.csv"), ["n", "diff"], rows2)
 
-    ref = hippo_legs_reference(cfg.n_basis)
+    ref = hippo_legs_reference(n)
+    a_ref = ref.a_hippo / tau
+    a_bars, _ = bilinear_discretize(a_ref, ref.b_hippo / tau, steps)
+    exacts = matrix_exp(steps[:, None, None] * a_ref)
+    conds = np.linalg.cond(a_deltas)
     rows3 = []
-    diffs3 = []
-    for d, a_d in zip(TABLE_DELTAS, a_deltas):
-        c = cfg.warp.f(-d)
-        corrected_t = (c * lag_matrix(cfg.basis, c)).T
-        a_bar, _ = bilinear_discretize(ref.a_hippo, ref.b_hippo, d)
-        diff = frobenius_rel_diff(corrected_t, a_bar)
-        diff_exact = frobenius_rel_diff(corrected_t, matrix_exp(d * ref.a_hippo))
-        rows3.append([d, diff, diff_exact, float(np.linalg.cond(a_d))])
-        diffs3.append(diff)
+    for d, shift, a_bar, exact, cond in zip(TABLE_DELTAS, shifts, a_bars, exacts, conds):
+        corrected_t = (cfg.warp.f(-d) * shift).T
+        rows3.append(
+            [
+                d,
+                frobenius_rel_diff(corrected_t, a_bar),
+                frobenius_rel_diff(corrected_t, exact),
+                float(cond),
+            ]
+        )
+    diffs3 = [row[1] for row in rows3]
     _write_table(
         os.path.join(cfg.output_dir, "table3.csv"),
         ["delta", "diff", "diff_exact_exp", "cond_a_delta"],
@@ -306,7 +329,8 @@ def _model_and_baseline(cfg: ExperimentConfig):
     )
     a_model = forward.T
     ref = hippo_legs_reference(cfg.n_basis)
-    a_base, b_base = bilinear_discretize(ref.a_hippo, ref.b_hippo, cfg.delta)
+    tau = cfg.warp.rate
+    a_base, b_base = bilinear_discretize(ref.a_hippo / tau, ref.b_hippo / tau, cfg.delta)
     return (a_model, b_model), (a_base, b_base)
 
 
@@ -369,7 +393,7 @@ def cmd_lagshift(
 
     if direction == "backward":
         a_d = build_a_delta(cfg.basis, cfg.warp, cfg.delta, cfg.quadrature)
-        op = backward_shift(a_d, cfg.delta)
+        op = backward_shift(a_d, cfg.delta, rate=cfg.warp.rate)
     else:
         op = _forward_shift(cfg)
 
@@ -397,13 +421,15 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
     """Dump every built matrix with metadata to matrices.json."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     basis, warp, quad = cfg.basis, cfg.warp, cfg.quadrature
-    forward = _forward_shift(cfg)
+    c = warp.f(-cfg.delta)
+    shift, a_delta = lag_matrix(basis, [c, warp.f(cfg.delta)])
+    forward = c * shift
     ref = hippo_legs_reference(cfg.n_basis)
     foh = hold_vectors(forward, basis, warp, cfg.delta, FOH, quad)
     arrays = {
         "a_gen": build_a_gen(basis, warp),
         "b_gen": build_b_gen(basis, warp),
-        "a_delta": lag_matrix(basis, warp.f(cfg.delta)),
+        "a_delta": a_delta,
         "a_corrected": forward,
         "b_delta_dirac": build_b_delta(basis, warp, cfg.delta, DIRAC, quad),
         "b_delta_zoh": hold_vectors(forward, basis, warp, cfg.delta, ZOH, quad),

@@ -141,7 +141,7 @@ def build_a_delta(
     return (phi * w) @ phi_lagged.T
 
 
-def lag_matrix(basis: BasisSpec, c: float) -> np.ndarray:
+def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
     """Matrix of the dilation p(z) -> p(c z): entry (n, m) is the integral of
     phi_n(z) * phi_m(c z) over (0, 1].
 
@@ -154,19 +154,32 @@ def lag_matrix(basis: BasisSpec, c: float) -> np.ndarray:
     space: upper triangular with exact zeros below the diagonal, diagonal
     c^n, and M(c1 c2) = M(c1) M(c2).
 
+    A scalar c gives (N, N); a 1-D array of k values gives the (k, N, N)
+    stack from one pass of the recurrence, each slice bit-equal to the
+    scalar call.
+
     For the exponential warp with rate tau, M(exp(delta / tau)) is a_delta,
     and with c = exp(-delta / tau) the forward basis shift is c M(c), whose
     transpose is exp(delta a_hippo / tau).
     """
-    if not (np.isfinite(c) and c > 0.0):
-        raise ArgumentError(f"c must be a positive finite real, got {c}")
+    cs = np.asarray(c, dtype=float)
+    if cs.ndim > 1:
+        raise ArgumentError(f"c must be a scalar or a 1-D array, got shape {cs.shape}")
+    stack = cs.reshape(-1)
+    bad = ~(np.isfinite(stack) & (stack > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"c[{i}]" if cs.ndim else "c"
+        raise ArgumentError(f"{where} must be a positive finite real, got {stack[i]}")
     n = basis.n_basis
     b = _jacobi_offdiagonal(n)
-    cb = c * b
+    cb = np.multiply.outer(b, cs)
     # c J - 1/2 = c (J - 1/2) + (c - 1) / 2: J's diagonal 1/2 never meets
     # the -1/2, so nothing cancels near c = 1 and M(1) is I exactly.
-    half_gap = 0.5 * (c - 1.0)
-    cols = np.zeros((n, n))  # row m: coefficients of phi_m(c z)
+    half_gap = 0.5 * (cs - 1.0)
+    # cols[m]: coefficients of phi_m(c z), one column per value of c when c
+    # is a stack, so each update is one contiguous block.
+    cols = np.zeros((n, n) + cs.shape)
     cols[0, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for m in range(n - 1):
@@ -177,10 +190,11 @@ def lag_matrix(basis: BasisSpec, c: float) -> np.ndarray:
             if m:
                 nxt[:m] -= b[m - 1] * cols[m - 1, :m]
             cols[m + 1, : m + 2] = nxt / b[m]
-    out = cols.T
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"lag matrix overflows at c={c} and N={n}")
-    return out
+    finite = np.isfinite(cols).all(axis=(0, 1)).reshape(-1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericError(f"lag matrix overflows at c={stack[i]} and N={n}")
+    return cols.T
 
 
 def hold_vectors(
@@ -216,12 +230,14 @@ def correct_a_delta(
     a_delta: np.ndarray,
     delta: float,
     max_condition: float | None = DEFAULT_MAX_CONDITION,
+    *,
+    rate: float = 1.0,
 ) -> np.ndarray:
-    """Stability-corrected transition inverse(a_delta) * exp(-delta).
+    """Stability-corrected transition inverse(a_delta) * exp(-delta / rate).
 
-    Equals exp(delta * a_stable) with a_stable = -(a_gen + I), so its
-    diagonal decays like exp(-(n+1) delta).  The inverse goes through an
-    LU solve with partial pivoting; a condition estimate above
+    Equals exp(delta * a_stable) with a_stable = -(a_gen + I / rate), so its
+    diagonal decays like exp(-(n+1) delta / rate).  The inverse goes through
+    an LU solve with partial pivoting; a condition estimate above
     max_condition raises NumericError (pass max_condition=None to force
     the solve anyway, e.g. for large-step sweeps that report conditioning).
     """
@@ -235,12 +251,13 @@ def correct_a_delta(
         inv = np.linalg.solve(a_delta, np.eye(a_delta.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"a_delta is singular: {exc}") from exc
-    return inv * np.exp(-delta)
+    return inv * np.exp(-delta / rate)
 
 
-def backward_shift(a_delta: np.ndarray, delta: float) -> np.ndarray:
-    """Backward shift operator a_delta * exp(delta) acting on the basis stack."""
-    return a_delta * np.exp(delta)
+def backward_shift(a_delta: np.ndarray, delta: float, *, rate: float = 1.0) -> np.ndarray:
+    """Backward shift operator a_delta * exp(delta / rate) acting on the basis
+    stack; its transpose is exp(-delta a_hippo / rate)."""
+    return a_delta * np.exp(delta / rate)
 
 
 def build_b_delta(
@@ -305,20 +322,24 @@ _EXPM_SCALE_TARGET = 0.5
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a degree-13 diagonal
-    Pade approximant."""
+    Pade approximant.
+
+    m is one (N, N) matrix or a (k, N, N) stack; each matrix keeps its own
+    squaring count, so each slice is bit-equal to the 2-D call on it.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ArgumentError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise ArgumentError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ArgumentError("matrix has non-finite entries")
-    norm = np.linalg.norm(m, 1)
-    squarings = 0
-    if norm > _EXPM_SCALE_TARGET:
-        squarings = int(np.ceil(np.log2(norm / _EXPM_SCALE_TARGET)))
-    a = m / (2.0**squarings)
+    norm = np.linalg.norm(m, 1, axis=(-2, -1))
+    squarings = np.zeros(norm.shape, dtype=int)
+    big = norm > _EXPM_SCALE_TARGET
+    squarings[big] = np.ceil(np.log2(norm[big] / _EXPM_SCALE_TARGET))
+    a = m / (2.0**squarings)[..., None, None]
 
     b = _PADE13_B
-    ident = np.eye(a.shape[0])
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -340,25 +361,33 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         r = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Pade denominator is singular: {exc}") from exc
-    for _ in range(squarings):
-        r = r @ r
+    for j in range(squarings.max(initial=0)):
+        more = squarings > j  # a 0-d mask for a 2-D m: r[True] is r[None]
+        part = r[more]
+        r[more] = part @ part
     return r
 
 
 def bilinear_discretize(
-    a: np.ndarray, b: np.ndarray, delta: float
+    a: np.ndarray, b: np.ndarray, delta: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tustin transform: ((I - d/2 a)^-1 (I + d/2 a), (I - d/2 a)^-1 d b)."""
+    """Tustin transform: ((I - d/2 a)^-1 (I + d/2 a), (I - d/2 a)^-1 d b).
+
+    A 1-D delta of k steps gives the (k, N, N) and (k, N) stacks from one
+    solve, each slice bit-equal to the call at that step.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    d = np.asarray(delta, dtype=float)[..., None, None]
     n = a.shape[0]
-    lhs = np.eye(n) - 0.5 * delta * a
-    rhs = np.hstack([np.eye(n) + 0.5 * delta * a, (delta * b)[:, None]])
+    ident = np.eye(n)
+    lhs = ident - 0.5 * d * a
+    rhs = np.concatenate([ident + 0.5 * d * a, d * b[:, None]], axis=-1)
     try:
         sol = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"bilinear resolvent is singular: {exc}") from exc
-    return sol[:, :n], sol[:, n]
+    return sol[..., :n], sol[..., n]
 
 
 def frobenius_rel_diff(m1: np.ndarray, m2: np.ndarray) -> float:

@@ -11,13 +11,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lagssm import (
+    BasisSpec,
+    WarpSpec,
+    bilinear_discretize,
+    build_a_gen,
+    frobenius_rel_diff,
+    hippo_legs_reference,
+    lag_matrix,
+    matrix_exp,
+)
 from lagssm.cli import main
 from lagssm.errors import ArgumentError
 from lagssm.experiments import (
+    TABLE2_SIZES,
+    TABLE_DELTAS,
     ExperimentConfig,
     SignalConfig,
     cmd_lagshift,
     cmd_reconstruct,
+    cmd_tables,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -65,6 +78,52 @@ class TestTables:
         assert main(["tables", "--out", str(tmp_path)]) == 0
         for name in ("table1.csv", "table2.csv", "table3.csv"):
             assert sha256_of(tmp_path / name) == sha256_of(tables_dir / name)
+
+
+class TestTablesStackedPass:
+    """tables builds its matrices in stacked calls from one a_gen; every
+    figure it writes equals the one from separate scalar builds, exactly."""
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [32, 64])  # at N=32 table2 needs a_gen at 50 > N
+    def test_figures_equal_scalar_builds(self, tmp_path, n, tau):
+        main(["tables", "--n", str(n), "--tau", str(tau), "--out", str(tmp_path)])
+        spec, warp = BasisSpec(n_basis=n), WarpSpec(rate=tau)
+        a_gen = build_a_gen(spec, warp)
+        ref = hippo_legs_reference(n)
+        expect1, expect3 = [], []
+        for d in TABLE_DELTAS:
+            a_d = lag_matrix(spec, warp.f(d))
+            expect1.append([d, frobenius_rel_diff(a_d, matrix_exp(d * a_gen))])
+            c = warp.f(-d)
+            corrected_t = (c * lag_matrix(spec, c)).T
+            a_bar, _ = bilinear_discretize(ref.a_hippo / tau, ref.b_hippo / tau, d)
+            expect3.append(
+                [
+                    d,
+                    frobenius_rel_diff(corrected_t, a_bar),
+                    frobenius_rel_diff(corrected_t, matrix_exp(d * ref.a_hippo / tau)),
+                    float(np.linalg.cond(a_d)),
+                ]
+            )
+        expect2 = []
+        for m in TABLE2_SIZES:
+            a_gen_m = build_a_gen(BasisSpec(n_basis=m), warp)
+            a_m = hippo_legs_reference(m).a_hippo / tau
+            expect2.append([m, frobenius_rel_diff(a_m, -(a_gen_m + np.eye(m) / tau).T)])
+        assert read_table(tmp_path / "table1.csv")[1] == expect1
+        assert read_table(tmp_path / "table2.csv")[1] == expect2
+        assert read_table(tmp_path / "table3.csv")[1] == expect3
+
+    def test_rate_two_identities_pass(self, tmp_path):
+        checks = cmd_tables(ExperimentConfig(warp=WarpSpec(rate=2.0), output_dir=str(tmp_path)))
+        by_name = {c.name: c for c in checks}
+        assert all(c.ok for name, c in by_name.items() if name.startswith(("table1", "table2")))
+        _, rows = read_table(tmp_path / "table3.csv")
+        assert all(r[2] <= 1e-12 for r in rows)
+
+    def test_reconstruct_at_rate_two(self, tmp_path):
+        assert main(["reconstruct", "--tau", "2", "--out", str(tmp_path)]) == 0
 
 
 class TestReconstruct:

@@ -239,6 +239,37 @@ class TestBackwardShift:
         assert np.linalg.norm(back @ fwd - np.eye(64)) <= 1e-9
 
 
+class TestShiftsAtRate:
+    """correct_a_delta and backward_shift at rate tau: the quadrature-built
+    a_delta is M(exp(delta / tau)), so both shifts carry exp(-+delta / tau)."""
+
+    N, DELTA, TAU = 64, 0.01, 2.0
+
+    def a_delta_and_reference(self):
+        spec = BasisSpec(n_basis=self.N)
+        a_d = build_a_delta(spec, WarpSpec(rate=self.TAU), self.DELTA, QUAD)
+        return a_d, hippo_legs_reference(self.N).a_hippo / self.TAU
+
+    def test_backward_shift(self):
+        a_d, a = self.a_delta_and_reference()
+        back = backward_shift(a_d, self.DELTA, rate=self.TAU)
+        assert frobenius_rel_diff(matrix_exp(-self.DELTA * a).T, back) <= 1e-11
+
+    def test_corrected_transition(self):
+        a_d, a = self.a_delta_and_reference()
+        fwd = correct_a_delta(a_d, self.DELTA, rate=self.TAU)
+        assert frobenius_rel_diff(matrix_exp(self.DELTA * a).T, fwd) <= 1e-11
+
+    def test_unit_rate_is_the_default(self):
+        a_d, _ = self.a_delta_and_reference()
+        np.testing.assert_array_equal(
+            backward_shift(a_d, self.DELTA, rate=1.0), backward_shift(a_d, self.DELTA)
+        )
+        np.testing.assert_array_equal(
+            correct_a_delta(a_d, self.DELTA, rate=1.0), correct_a_delta(a_d, self.DELTA)
+        )
+
+
 class TestBDelta:
     def test_dirac(self):
         b = build_b_delta(BasisSpec(n_basis=3), W, 0.3, "dirac", QUAD)
@@ -528,3 +559,76 @@ class TestSerialization:
         }
         self.assert_json_dump_layout(tmp_path / "m.json", arrays, {})
 
+
+
+class TestStacked:
+    """Stacked calls: every slice is bit-equal to the call on that slice."""
+
+    CS = (0.5, 1.0, float(np.exp(1e-2)), float(np.exp(-0.1)), 1.7)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 256])
+    def test_lag_matrix_slices_are_scalar_calls(self, n):
+        spec = BasisSpec(n_basis=n)
+        stack = lag_matrix(spec, np.array(self.CS))
+        assert stack.shape == (len(self.CS), n, n)
+        for c, m in zip(self.CS, stack):
+            np.testing.assert_array_equal(m, lag_matrix(spec, c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=256),
+        cs=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=4),
+    )
+    def test_lag_matrix_stack_property(self, n, cs):
+        spec = BasisSpec(n_basis=n)
+        stack = lag_matrix(spec, cs)
+        for c, m in zip(cs, stack):
+            np.testing.assert_array_equal(m, lag_matrix(spec, c))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+    def test_lag_matrix_names_the_bad_entry(self, bad):
+        with pytest.raises(ArgumentError, match=r"c\[2\]"):
+            lag_matrix(BasisSpec(n_basis=4), [1.0, 0.9, bad, 1.1])
+
+    def test_lag_matrix_names_the_overflowing_c(self):
+        with pytest.raises(NumericError, match="c=1000.0"):
+            lag_matrix(BasisSpec(n_basis=256), [1.0, 1e3])
+
+    def test_lag_matrix_rejects_a_2d_c(self):
+        with pytest.raises(ArgumentError):
+            lag_matrix(BasisSpec(n_basis=4), np.ones((2, 2)))
+
+    def test_matrix_exp_keeps_each_squaring_count(self):
+        """1-norms 0.1, 3 and 40 take 0, 3 and 7 squarings."""
+        rng = np.random.default_rng(11)
+        stack = np.array([rng.standard_normal((16, 16)) for _ in range(3)])
+        stack *= np.array([0.1, 3.0, 40.0])[:, None, None] / np.array(
+            [np.linalg.norm(m, 1) for m in stack]
+        )[:, None, None]
+        got = matrix_exp(stack)
+        assert got.shape == stack.shape
+        for m, e in zip(stack, got):
+            np.testing.assert_array_equal(e, matrix_exp(m))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3,), (2, 2, 2, 2)])
+    def test_matrix_exp_rejects_non_square_stacks(self, shape):
+        with pytest.raises(ArgumentError):
+            matrix_exp(np.zeros(shape))
+
+    def test_bilinear_stack_is_per_delta_calls(self):
+        ref = hippo_legs_reference(32)
+        deltas = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+        a_bars, b_bars = bilinear_discretize(ref.a_hippo, ref.b_hippo, deltas)
+        assert a_bars.shape == (4, 32, 32) and b_bars.shape == (4, 32)
+        for d, a_bar, b_bar in zip(deltas, a_bars, b_bars):
+            a1, b1 = bilinear_discretize(ref.a_hippo, ref.b_hippo, d)
+            np.testing.assert_array_equal(a_bar, a1)
+            np.testing.assert_array_equal(b_bar, b1)
+
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("big", [50, 64, 256])
+    def test_a_gen_leading_blocks_are_smaller_builds(self, big, tau):
+        warp = WarpSpec(rate=tau)
+        a_gen = build_a_gen(BasisSpec(n_basis=big), warp)
+        for n in (1, 10, 30, 50):
+            np.testing.assert_array_equal(a_gen[:n, :n], build_a_gen(BasisSpec(n_basis=n), warp))

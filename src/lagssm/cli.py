@@ -23,10 +23,7 @@ _FLAGS = (
     ("--delta", ("delta",), dict(type=float, help="time step")),
     ("--total-time", ("total_time",), dict(type=float, help="signal duration")),
     ("--tau", ("warp", "rate"), dict(type=float, help="warp rate")),
-    ("--input-model", ("input_model",), dict(choices=["dirac", "zoh", "foh"], help="hold model")),
-    ("--quad-points", ("quadrature", "points_per_panel"),
-     dict(type=int, help="quadrature points per panel")),
-    ("--quad-panels", ("quadrature", "panels"), dict(type=int, help="quadrature panel count")),
+    ("--input-model", ("input_model",), dict(choices=["zoh", "foh"], help="hold model")),
     ("--signal", ("signal",),
      dict(metavar="lorenz|sine|csv:PATH", help="input signal for the reconstruction command")),
     ("--burn-in", ("signal", "burn_in"), dict(type=int, help="Lorenz burn-in steps")),

@@ -16,9 +16,11 @@ a_gen from the derivative of matrices.lag_matrix's M(c) at c = 1, a_delta
 as M(exp(delta / tau)), and the corrected transition as the forward shift
 c M(c) with c = exp(-delta / tau).  tables, reconstruct, the forward
 lagshift and matrices use these; only the default backward lagshift stays
-on the quadrature-built a_delta, and FOH's log-weighted integral on the
-composite rule.  Every comparison is at rate tau: the reference pair is
-a_hippo / tau, b_hippo / tau.
+on the quadrature-built a_delta, checked against the exact shift, and FOH's
+log-weighted integral on the composite rule.  That rule is the fixed 64x8
+QuadratureConfig() default; no command setting changes it.  Every
+comparison is at rate tau: the reference pair is a_hippo / tau,
+b_hippo / tau.
 
 tables builds in one stacked pass: one a_gen, at the larger of N and the
 largest table2 size, serves all three tables through its leading blocks;
@@ -42,7 +44,6 @@ from .errors import ArgumentError
 from .matrices import (
     DIRAC,
     FOH,
-    INPUT_MODELS,
     ZOH,
     backward_shift,
     bilinear_discretize,
@@ -134,14 +135,15 @@ class ExperimentConfig:
     total_time: float = 10.0
     warp: WarpSpec = field(default_factory=WarpSpec)
     input_model: str = ZOH
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
     signal: SignalConfig = field(default_factory=SignalConfig)
     output_dir: str = "out"
 
     def __post_init__(self):
         check_fields(self, "config")
-        if self.input_model not in INPUT_MODELS:
-            raise ArgumentError(f"unknown input_model {self.input_model!r}")
+        if self.input_model not in (ZOH, FOH):
+            raise ArgumentError(
+                f"unknown input_model {self.input_model!r}; expected one of {[ZOH, FOH]}"
+            )
         # delta == 0 is allowed so the shift commands can show the identity
         # operator; signal-driven commands reject it when they divide by it.
         if self.delta < 0.0 or self.total_time <= 0.0:
@@ -312,21 +314,9 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
 
 def _model_and_baseline(cfg: ExperimentConfig):
     """The exact lag-operator recurrence with cfg.input_model's input vector(s)
-    and the Tustin-discretized reference, both in coefficient orientation.
-
-    The Dirac vector phi_n(1)|f'(0)| carries no factor of delta, so a
-    recurrence driven by it does not integrate sampled input and has no
-    Tustin baseline to meet; it is refused.
-    """
-    if cfg.input_model == DIRAC:
-        raise ArgumentError(
-            "reconstruct needs a sampled-input hold model (zoh or foh); "
-            "input model 'dirac' has no Tustin baseline"
-        )
+    and the Tustin-discretized reference, both in coefficient orientation."""
     forward = _forward_shift(cfg)
-    b_model = hold_vectors(
-        forward, cfg.basis, cfg.warp, cfg.delta, cfg.input_model, cfg.quadrature
-    )
+    b_model = hold_vectors(forward, cfg.basis, cfg.warp, cfg.delta, cfg.input_model)
     a_model = forward.T
     ref = hippo_legs_reference(cfg.n_basis)
     tau = cfg.warp.rate
@@ -383,7 +373,11 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
 def cmd_lagshift(
     cfg: ExperimentConfig, n_show: int | None = None, direction: str = "backward"
 ) -> list[Check]:
-    """Emit one basis function next to its shifted image (lagshift.csv)."""
+    """Emit one basis function next to its shifted image (lagshift.csv).
+
+    The backward shift is built on the composite rule, so its row is also
+    checked against the same row of the exact c M(c), c = exp(delta / tau).
+    """
     if direction not in ("forward", "backward"):
         raise ArgumentError(f"direction must be forward or backward, got {direction!r}")
     n_show = cfg.n_basis - 1 if n_show is None else n_show
@@ -392,7 +386,7 @@ def cmd_lagshift(
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     if direction == "backward":
-        a_d = build_a_delta(cfg.basis, cfg.warp, cfg.delta, cfg.quadrature)
+        a_d = build_a_delta(cfg.basis, cfg.warp, cfg.delta)
         op = backward_shift(a_d, cfg.delta, rate=cfg.warp.rate)
     else:
         op = _forward_shift(cfg)
@@ -408,31 +402,43 @@ def cmd_lagshift(
         np.column_stack([s_grid, original, shifted]),
     )
     ok = bool(np.all(np.isfinite(shifted)))
-    return [
+    checks = [
         Check(
             name=f"lagshift n={n_show} {direction}",
             ok=ok,
             detail=f"max|shifted|={np.abs(shifted).max():.3e}",
         )
     ]
+    if direction == "backward":
+        c = cfg.warp.f(cfg.delta)
+        exact = c * lag_matrix(cfg.basis, c)[n_show]
+        err = float(np.abs(op[n_show] - exact).max() / np.abs(exact).max())
+        checks.append(
+            Check(
+                name=f"lagshift n={n_show} backward vs exact shift",
+                ok=err <= TABLE1_TOL_SMALL,
+                detail=f"row err={err:.3e} (tol {TABLE1_TOL_SMALL:g})",
+            )
+        )
+    return checks
 
 
 def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
     """Dump every built matrix with metadata to matrices.json."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    basis, warp, quad = cfg.basis, cfg.warp, cfg.quadrature
+    basis, warp, rule = cfg.basis, cfg.warp, QuadratureConfig()
     c = warp.f(-cfg.delta)
     shift, a_delta = lag_matrix(basis, [c, warp.f(cfg.delta)])
     forward = c * shift
     ref = hippo_legs_reference(cfg.n_basis)
-    foh = hold_vectors(forward, basis, warp, cfg.delta, FOH, quad)
+    foh = hold_vectors(forward, basis, warp, cfg.delta, FOH)
     arrays = {
         "a_gen": build_a_gen(basis, warp),
         "b_gen": build_b_gen(basis, warp),
         "a_delta": a_delta,
         "a_corrected": forward,
-        "b_delta_dirac": build_b_delta(basis, warp, cfg.delta, DIRAC, quad),
-        "b_delta_zoh": hold_vectors(forward, basis, warp, cfg.delta, ZOH, quad),
+        "b_delta_dirac": build_b_delta(basis, warp, cfg.delta, DIRAC),
+        "b_delta_zoh": hold_vectors(forward, basis, warp, cfg.delta, ZOH),
         "b_delta_foh_v_next": foh.v_next,
         "b_delta_foh_v_prev": foh.v_prev,
         "a_hippo": ref.a_hippo,
@@ -443,8 +449,8 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
         "delta": cfg.delta,
         "tau": warp.rate,
         "input_model": cfg.input_model,
-        "quad_points": quad.points_per_panel,
-        "quad_panels": quad.panels,
+        "quad_points": rule.points_per_panel,  # the fixed rule of the FOH term
+        "quad_panels": rule.panels,
     }
     path = os.path.join(cfg.output_dir, "matrices.json")
     save_matrices_json(path, arrays, meta)

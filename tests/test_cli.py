@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,15 @@ class TestTables:
         assert main(["tables", "--out", str(tmp_path)]) == 0
         for name in ("table1.csv", "table2.csv", "table3.csv"):
             assert sha256_of(tmp_path / name) == sha256_of(tables_dir / name)
+
+    def test_large_entries_give_finite_table1(self, tmp_path, capsys):
+        """At N=256, tau=0.1 the delta=0.1 matrices hold entries whose squares
+        overflow; the figure is still finite and passes, with no warning
+        (pytest turns a RuntimeWarning into an error)."""
+        main(["tables", "--n", "256", "--tau", "0.1", "--out", str(tmp_path)])
+        assert "PASS table1 delta=0.1:" in capsys.readouterr().out
+        _, rows = read_table(tmp_path / "table1.csv")
+        assert rows[-1][0] == 0.1 and rows[-1][1] <= 1e-10
 
 
 class TestTablesStackedPass:
@@ -193,12 +203,6 @@ class TestReconstruct:
         _, foh_rows = read_table(foh_dir / "recon.csv")
         assert [r[2] for r in foh_rows] == [r[2] for r in zoh_rows]  # same baseline
 
-    def test_dirac_input_model_is_refused(self, tmp_path, capsys):
-        code = main(["reconstruct", "--out", str(tmp_path), "--input-model", "dirac"])
-        assert code == 2
-        assert "'dirac'" in capsys.readouterr().err
-        assert not (tmp_path / "recon.csv").exists()
-
 
 class TestLagshift:
     def test_identity_at_zero_delta(self, tmp_path):
@@ -232,6 +236,38 @@ class TestLagshift:
     def test_bad_index(self, tmp_path):
         code = main(["lagshift", "--out", str(tmp_path), "--n-show", "64"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, code, verdict",
+        [
+            ([], 0, "PASS"),
+            (["--tau", "2"], 0, "PASS"),
+            (["--n", "128", "--tau", "2"], 0, "PASS"),
+            (["--delta", "0"], 0, "PASS"),
+            (["--n", "128"], 1, "FAIL"),
+            (["--n", "256"], 1, "FAIL"),
+            (["--delta", "0.1"], 1, "FAIL"),
+        ],
+        ids=["default", "tau2", "n128-tau2", "delta0", "n128", "n256", "delta0.1"],
+    )
+    def test_backward_row_checked_against_exact_shift(self, tmp_path, capsys, flags, code, verdict):
+        """The rule-built backward row passes only where it meets the exact
+        e^{delta/tau} M(e^{delta/tau}) row to 1e-7; elsewhere its curve is
+        finite, which the first check alone let through."""
+        assert main(["lagshift", "--out", str(tmp_path), *flags]) == code
+        first, second = capsys.readouterr().out.splitlines()
+        assert first.startswith("PASS lagshift n=") and first.split(":")[0].endswith("backward")
+        assert second.startswith(f"{verdict} lagshift n=") and "backward vs exact shift" in second
+        err = float(re.search(r"row err=(\S+)", second).group(1))
+        assert (err <= 1e-7) == (verdict == "PASS")
+        assert (tmp_path / "lagshift.csv").exists()
+
+    def test_forward_has_no_exact_shift_check(self, tmp_path, capsys):
+        """The forward shift is the exact lag matrix itself."""
+        assert main(["lagshift", "--out", str(tmp_path), "--direction", "forward"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS lagshift n=63 forward: max|shifted|=5.942e+00"
+        ]
 
 
 class TestMatricesCommand:
@@ -345,6 +381,19 @@ class TestConfigHandling:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["tables", "reconstruct", "lagshift", "matrices"])
+    def test_dirac_input_model_is_an_error(self, tmp_path, capsys, command):
+        """input_model takes the sampled-input hold models only; the Dirac
+        vector has no factor of delta and stays a library model."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input_model": "dirac"}))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg_path), "--out", str(out), "--n", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown input_model 'dirac'") and "'foh'" in err
+        assert not out.exists()
+
     def test_tau_flag(self, tmp_path):
         from lagssm.matrices import load_matrices_json
 
@@ -360,7 +409,7 @@ class TestConfigHandling:
         [
             ({"nbasis": 8}, "nbasis"),
             ({"warp": {"tau": 3}}, "tau"),
-            ({"quadrature": {"points": 16}}, "points"),
+            ({"quadrature": {"points_per_panel": 64, "panels": 8}}, "quadrature"),
             ({"signal": {"kindd": 1}}, "kindd"),
             ({"warp": {"family": "exponential"}}, "family"),
         ],
@@ -444,10 +493,10 @@ class TestConfigHandling:
             {
                 "n_basis": 8,
                 "warp": {"rate": 2.0},
-                "quadrature": {"points_per_panel": 32, "panels": 4},
+                "input_model": "foh",
                 "signal": {"kind": "lorenz", "x0": [1.5, 1.0, 1.0], "burn_in": 3},
             }
         )
         assert cfg.warp.rate == 2.0
-        assert cfg.quadrature.panels == 4
+        assert cfg.input_model == "foh"
         assert cfg.signal.x0 == (1.5, 1.0, 1.0)

@@ -46,12 +46,10 @@ KINDS = {
         "total_time": _real,
         "warp": _of(WarpSpec),
         "input_model": _of(str),
-        "quadrature": _of(QuadratureConfig),
         "signal": _of(SignalConfig),
         "output_dir": _of(str),
     },
     WarpSpec: {"rate": _real},
-    QuadratureConfig: {"points_per_panel": _of(int), "panels": _of(int)},
     SignalConfig: {
         "kind": _of(str),
         "sigma": _real,
@@ -79,7 +77,7 @@ VALUES = (
 )
 
 
-SECTIONS = {"warp": WarpSpec, "quadrature": QuadratureConfig, "signal": SignalConfig}
+SECTIONS = {"warp": WarpSpec, "signal": SignalConfig}
 
 
 def _section(cls):
@@ -149,7 +147,15 @@ NEWLY_CHECKED = [
 )
 def test_newly_checked_value_is_an_error(tmp_path, monkeypatch, capsys, raw, named):
     """These values passed unchecked, or escaped as TypeError,
-    OverflowError or FileNotFoundError, before."""
+    OverflowError or FileNotFoundError, before.  QuadratureConfig is a
+    library value with no config key, so it is checked directly."""
+    section = next(iter(raw))
+    if section in ("warp", "quadrature"):
+        cls = {"warp": WarpSpec, "quadrature": QuadratureConfig}[section]
+        with pytest.raises(ArgumentError, match=named):
+            cls(**raw[section])
+    if section == "quadrature":
+        return
     monkeypatch.chdir(tmp_path)  # where output_dir's default "out" would land
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
@@ -158,11 +164,6 @@ def test_newly_checked_value_is_an_error(tmp_path, monkeypatch, capsys, raw, nam
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert list(tmp_path.iterdir()) == [cfg_path]
-    section = next(iter(raw))
-    if section in ("warp", "quadrature"):
-        cls = {"warp": WarpSpec, "quadrature": QuadratureConfig}[section]
-        with pytest.raises(ArgumentError, match=named):
-            cls(**raw[section])
 
 
 @pytest.mark.parametrize(
@@ -192,12 +193,12 @@ def test_flags_write_over_file_values(tmp_path):
     )
     args = build_parser().parse_args(
         ["reconstruct", "--config", str(cfg_path), "--signal", "sine",
-         "--quad-panels", "2", "--no-normalize"]
+         "--input-model", "foh", "--no-normalize"]
     )
     cfg = config_from_args(args)
     assert cfg.warp == WarpSpec(rate=3.0)
     assert (cfg.signal.kind, cfg.signal.csv_path, cfg.signal.normalize) == ("sine", None, False)
-    assert cfg.quadrature == QuadratureConfig(points_per_panel=64, panels=2)
+    assert cfg.input_model == "foh"
 
 
 def _readme_block(heading, lang=""):
@@ -239,11 +240,22 @@ def test_short_total_time_names_total_time(tmp_path, capsys):
     assert not (out / "recon.csv").exists()
 
 
-def test_removed_warp_flag_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["matrices", "--warp", "exp"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --warp" in capsys.readouterr().err
+def test_removed_warp_flag_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """The removed --warp, --quad-points and --quad-panels flags and the
+    removed --input-model value are argparse usage errors that write
+    nothing."""
+    monkeypatch.chdir(tmp_path)  # where output_dir's default "out" would land
+    for flags, message in [
+        (["--warp", "exp"], "unrecognized arguments: --warp"),
+        (["--quad-points", "64"], "unrecognized arguments: --quad-points"),
+        (["--quad-panels", "8"], "unrecognized arguments: --quad-panels"),
+        (["--input-model", "dirac"], "invalid choice: 'dirac'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["matrices", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_synopsis_lists_every_flag():

@@ -440,6 +440,25 @@ class TestFrobeniusRelDiff:
         with pytest.raises(ArgumentError):
             frobenius_rel_diff(np.zeros((2, 2)), np.eye(2))
 
+    def test_entries_whose_squares_overflow(self):
+        """M(e) at N=256 has entries near 1.7e238, whose squares overflow;
+        the ratio still comes out finite and right."""
+        m = lag_matrix(BasisSpec(n_basis=256), np.e)
+        assert np.abs(m).max() > 1e200
+        assert frobenius_rel_diff(m, m * (1.0 + 2.0**-30)) == pytest.approx(2.0**-30, rel=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-600, 0, 600])
+    def test_power_of_two_scale_leaves_the_ratio_bit_equal(self, exponent):
+        """The plain formula's value at unit scale, bit for bit, also where
+        that formula's squares would underflow (-600) or overflow (600)."""
+        rng = np.random.default_rng(3)
+        m1, m2 = rng.standard_normal((2, 6, 6))
+        plain = np.linalg.norm(m1 - m2) / np.linalg.norm(m1)
+        assert frobenius_rel_diff(np.ldexp(m1, exponent), np.ldexp(m2, exponent)) == plain
+
+    def test_subnormal_reference(self):
+        assert frobenius_rel_diff(np.full((2, 2), 5e-324), np.zeros((2, 2))) == 1.0
+
 
 class TestLagMatrix:
     """lag_matrix(basis, c): the exact dilation matrix M(c) behind every

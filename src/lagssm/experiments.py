@@ -383,13 +383,12 @@ def cmd_lagshift(
     n_show = cfg.n_basis - 1 if n_show is None else n_show
     if not (0 <= n_show < cfg.n_basis):
         raise ArgumentError(f"n_show={n_show} out of range [0, {cfg.n_basis})")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-
     if direction == "backward":
         a_d = build_a_delta(cfg.basis, cfg.warp, cfg.delta)
         op = backward_shift(a_d, cfg.delta, rate=cfg.warp.rate)
     else:
         op = _forward_shift(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
 
     t_end = cfg.total_time
     s_grid = np.linspace(0.0, t_end, LAGSHIFT_GRID_POINTS)

@@ -32,7 +32,8 @@ from .warp import WarpSpec, lag
 DIRAC, ZOH, FOH = "dirac", "zoh", "foh"
 INPUT_MODELS = (DIRAC, ZOH, FOH)
 
-# build_a_delta refuses a step above this; the cap only bounds the input.
+# build_a_delta refuses a step delta / tau above this, before it evaluates
+# the basis at exp(delta / tau) z; the cap only bounds the input.
 # Below it the rule is not accurate everywhere (its docstring gives the
 # measured domain), and the lagshift command checks its row against the
 # exact lag_matrix.
@@ -135,14 +136,16 @@ def build_a_delta(
     delta / tau up to 0.5 at N=16, 0.1 at N=32, 0.03 at N=64 (2.8e-11 at
     0.01, 5.2e-3 at 0.1) and 0.005 at N=128 (3.4e-8; 2.9e-5 at 0.01).
     Outside it the result is wrong without a warning: N=256 at 0.01 is off
-    by 8e16.
+    by 8e16.  A delta / tau above DELTA_CAP raises ArgumentError before the
+    basis is evaluated.
     """
     if delta < 0.0:
         raise ArgumentError(f"delta must be nonnegative, got {delta}")
-    if delta > DELTA_CAP:
+    if delta / warp.rate > DELTA_CAP:
         raise ArgumentError(
-            f"delta={delta} exceeds the cap {DELTA_CAP} of the quadrature-built "
-            "a_delta; lag_matrix(basis, exp(delta / tau)) is exact for any delta"
+            f"delta/tau={delta / warp.rate:g} (delta={delta}, tau={warp.rate}) exceeds "
+            f"the cap {DELTA_CAP} of the quadrature-built a_delta; "
+            "lag_matrix(basis, exp(delta / tau)) is exact for any delta"
         )
     z, w = panel_nodes(0.0, 1.0, quad)
     phi = phi_matrix(basis, z)

@@ -262,51 +262,64 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     K = clamp(L // N, 1, 32) keeps the powers and the operands no larger
     than the trajectory itself.  A non-finite chunk start or final state
     raises ArgumentError naming the first non-finite state.
+
+    The working set is the two operands and nothing the size of either:
+    the samples are written straight into lhs, chunk c's drive (its inputs
+    times rhs's last column block) is written straight into row c+1's start,
+    where the serial pass adds a^K s_c in place, and rhs is filled from one
+    rolling power a^{j+1} (with a (K, N, m) kernel), not a stack of all K+1
+    powers.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ArgumentError(f"a must be a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    u = trace.values
-    if isinstance(b_model, FohVectors):
-        columns = (b_model.v_next, b_model.v_prev)
-        w = np.column_stack([u, np.concatenate(([0.0], u[:-1]))])
-    else:
-        columns = (b_model,)
-        w = u[:, None]
+    foh = isinstance(b_model, FohVectors)
+    columns = (b_model.v_next, b_model.v_prev) if foh else (b_model,)
     columns = [np.asarray(col, dtype=float) for col in columns]
     if any(col.shape != (n,) for col in columns):
         shapes = [col.shape for col in columns]
         raise ArgumentError(f"b_model vectors must have shape ({n},) to match a, got {shapes}")
     b = np.column_stack(columns)
 
-    steps, m = w.shape
+    u = trace.values
+    steps, m = u.size, b.shape[1]
     k = min(_MAX_CHUNK, max(1, steps // n))
     chunks = -(-steps // k)
 
-    powers = np.empty((k + 1, n, n))
-    powers[0] = np.eye(n)
     # An unstable a overflows; that is reported below as the first bad state.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(k):
-            powers[j + 1] = a @ powers[j]
-        kernel = powers[:k] @ b
-
-        # Column block j of rhs yields state cK+j+1 of chunk c.
+        # Column block j of rhs yields state cK+j+1 of chunk c: (a^{j+1})^T
+        # on top, from one rolling power, and the Toeplitz kernel below.
         rhs = np.zeros((n + k * m, k * n))
-        rhs[:n] = powers[1:].transpose(2, 0, 1).reshape(n, k * n)
+        kernel = np.empty((k, n, m))
+        power = np.eye(n)
+        for j in range(k):
+            np.matmul(power, b, out=kernel[j])
+            power = a @ power
+            rhs[:n, j * n : (j + 1) * n] = power.T
         toeplitz = rhs[n:].reshape(k, m, k, n)
         i, j = np.triu_indices(k)
         toeplitz[i, :, j, :] = kernel[j - i].transpose(0, 2, 1)
 
-        padded = np.zeros((chunks * k, m))
-        padded[:steps] = w
-        lhs = np.zeros((chunks, n + k * m))
-        lhs[:, n:] = padded.reshape(chunks, k * m)
-        drive = lhs[:, n:] @ rhs[n:, (k - 1) * n :]
-        a_k = powers[k].T
+        # Row c of lhs is [s_c | w_{cK..cK+K-1}], zero past the last sample.
+        # One spare row lets the drive product cover all `chunks` rows (the
+        # last drive is unused): BLAS's rounding depends on the row count,
+        # and this fixes it at one row per chunk.
+        lhs = np.zeros((chunks + 1, n + k * m))
+        inputs = lhs[:, n:].reshape(chunks + 1, k, m)
+        full, rest = divmod(steps, k)
+        inputs[:full, :, 0] = u[: full * k].reshape(full, k)
+        inputs[full, :rest, 0] = u[full * k :]
+        if foh:  # the second column is u delayed by one sample, 0 first
+            inputs[:, 1:, 1] = inputs[:, :-1, 0]
+            inputs[1:, 0, 1] = inputs[:-1, -1, 0]
+            inputs[full, rest:, 1] = 0.0
+        np.matmul(lhs[:-1, n:], rhs[n:, (k - 1) * n :], out=lhs[1:, :n])
+        a_k = power.T
         for c in range(chunks - 1):
-            lhs[c + 1, :n] = lhs[c, :n] @ a_k + drive[c]
+            lhs[c + 1, :n] += lhs[c, :n] @ a_k
+        lhs = lhs[:-1]
 
     states = Trajectory(lhs, rhs, k, steps, trace.delta)
     last = states._blocks - 1

@@ -120,9 +120,10 @@ def zoh_function(trace: SignalTrace):
 
 
 def normalize_trace(trace: SignalTrace) -> SignalTrace:
-    """Affine normalization to zero mean and unit max-abs."""
+    """Affine normalization to zero mean and unit max-abs: a new values
+    array, divided in place; the trace's times are shared, not copied."""
     v = trace.values - trace.values.mean()
     peak = np.abs(v).max()
-    if peak == 0.0:
-        return SignalTrace(times=trace.times.copy(), values=v, delta=trace.delta)
-    return SignalTrace(times=trace.times.copy(), values=v / peak, delta=trace.delta)
+    if peak != 0.0:
+        v /= peak
+    return SignalTrace(times=trace.times, values=v, delta=trace.delta)

@@ -262,6 +262,23 @@ class TestLagshift:
         assert (err <= 1e-7) == (verdict == "PASS")
         assert (tmp_path / "lagshift.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tau", "0.05", "--delta", "0.5"], ["--n", "256", "--tau", "0.01", "--delta", "0.5"]],
+        ids=["n64-tau0.05", "n256-tau0.01"],
+    )
+    def test_step_over_cap_in_delta_over_tau_is_refused(self, tmp_path, capsys, flags):
+        """The cap bounds delta / tau: a step within 0.5 but far past it in
+        delta / tau exits 2 with the cap error before the basis is evaluated
+        at exp(delta / tau) z (which overflowed with a bare RuntimeWarning),
+        and writes nothing."""
+        out = tmp_path / "out"
+        assert main(["lagshift", "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta/tau=") and "exceeds the cap 0.5" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
     def test_forward_has_no_exact_shift_check(self, tmp_path, capsys):
         """The forward shift is the exact lag matrix itself."""
         assert main(["lagshift", "--out", str(tmp_path), "--direction", "forward"]) == 0

@@ -412,8 +412,9 @@ class TestLazyTrajectory:
             assert iterated[k].tobytes() == row
 
     def test_final_state_builds_one_block_not_the_trajectory(self):
-        """run(...)[-1] at L=1e5, N=64 peaks below a quarter of the
-        (L+1) x N float64 trajectory (51.2 MB)."""
+        """run(...)[-1] at L=1e5, N=64 peaks below an eighth of the
+        (L+1) x N float64 trajectory (51.2 MB): the two chunk operands and
+        one block, with no copy of the inputs, drives or powers."""
         n, length, delta = 64, 100_000, 0.01
         ref = hippo_legs_reference(n)
         a, b = matrix_exp(delta * ref.a_hippo), delta * ref.b_hippo
@@ -425,7 +426,7 @@ class TestLazyTrajectory:
         finally:
             tracemalloc.stop()
         assert final.t == length * delta
-        assert peak < (length + 1) * n * 8 / 4
+        assert peak < (length + 1) * n * 8 / 8
 
     def test_later_block_read_names_first_non_finite_state(self):
         """Reading any state of a block that holds an overflow raises,

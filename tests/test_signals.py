@@ -172,3 +172,17 @@ def test_normalize_trace():
     assert np.abs(normed.values).max() == pytest.approx(1.0, abs=1e-15)
     zero = normalize_trace(sine_mixture([], [], [], delta=0.1, steps=5))
     np.testing.assert_array_equal(zero.values, np.zeros(5))
+
+
+def test_normalize_trace_is_bit_exact_and_shares_times():
+    """The values are (v - mean) / peak bit for bit, the input's values are
+    left as they were, and the input's times array is reused, not copied."""
+    trace = lorenz63(LorenzParams(steps=300, burn_in=10))
+    before = trace.values.copy()
+    normed = normalize_trace(trace)
+    centred = trace.values - trace.values.mean()
+    want = centred / np.abs(centred).max()
+    assert normed.values.tobytes() == want.tobytes()
+    assert trace.values.tobytes() == before.tobytes()
+    assert normed.times is trace.times
+    assert normed.delta == trace.delta

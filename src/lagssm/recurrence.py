@@ -317,8 +317,9 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
             inputs[full, rest:, 1] = 0.0
         np.matmul(lhs[:-1, n:], rhs[n:, (k - 1) * n :], out=lhs[1:, :n])
         a_k = power.T
-        for c in range(chunks - 1):
-            lhs[c + 1, :n] += lhs[c, :n] @ a_k
+        starts = lhs[:chunks, :n]
+        for prev, start in zip(starts, starts[1:]):
+            np.add(start, prev @ a_k, out=start)
         lhs = lhs[:-1]
 
     states = Trajectory(lhs, rhs, k, steps, trace.delta)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -55,28 +56,45 @@ def lorenz63(params: LorenzParams) -> SignalTrace:
 
     Runs rk4_step's operations, in the same order, on Python floats rather
     than numpy 3-vectors, so the output is bit-identical to folding rk4_step
-    without paying numpy's per-call cost on every stage.
+    without paying numpy's per-call cost on every stage.  The steps run in
+    a generator that np.fromiter drains straight into the output array.
+
+    Divergence is checked once, on the final state.  That check is exact:
+    each step sets x to x + (increment), likewise y and z, and adding
+    anything to inf or nan never gives a finite number, so a component that
+    goes non-finite at some step stays non-finite at every later one.  Only
+    then is rk4_step folded again to name the first non-finite step.
     """
     sigma, rho, beta = float(params.sigma), float(params.rho), float(params.beta)
     dt = float(params.dt)
     half, sixth = 0.5 * dt, dt / 6.0
-    x, y, z = (float(v) for v in params.x0)
-    out = np.empty(params.steps)
-    for i in range(params.burn_in + params.steps):
-        kx1, ky1, kz1 = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
-        x2, y2, z2 = x + half * kx1, y + half * ky1, z + half * kz1
-        kx2, ky2, kz2 = sigma * (y2 - x2), x2 * (rho - z2) - y2, x2 * y2 - beta * z2
-        x3, y3, z3 = x + half * kx2, y + half * ky2, z + half * kz2
-        kx3, ky3, kz3 = sigma * (y3 - x3), x3 * (rho - z3) - y3, x3 * y3 - beta * z3
-        x4, y4, z4 = x + dt * kx3, y + dt * ky3, z + dt * kz3
-        kx4, ky4, kz4 = sigma * (y4 - x4), x4 * (rho - z4) - y4, x4 * y4 - beta * z4
-        x = x + sixth * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
-        y = y + sixth * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
-        z = z + sixth * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise NumericError(f"Lorenz trajectory diverged at step {i}")
-        if i >= params.burn_in:
-            out[i - params.burn_in] = x
+
+    def xs(x, y, z):
+        """Yields x after each step, then the final (x, y, z)."""
+        for _ in repeat(None, params.burn_in + params.steps):
+            kx1, ky1, kz1 = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+            x2, y2, z2 = x + half * kx1, y + half * ky1, z + half * kz1
+            kx2, ky2, kz2 = sigma * (y2 - x2), x2 * (rho - z2) - y2, x2 * y2 - beta * z2
+            x3, y3, z3 = x + half * kx2, y + half * ky2, z + half * kz2
+            kx3, ky3, kz3 = sigma * (y3 - x3), x3 * (rho - z3) - y3, x3 * y3 - beta * z3
+            x4, y4, z4 = x + dt * kx3, y + dt * ky3, z + dt * kz3
+            kx4, ky4, kz4 = sigma * (y4 - x4), x4 * (rho - z4) - y4, x4 * y4 - beta * z4
+            x = x + sixth * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
+            y = y + sixth * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
+            z = z + sixth * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
+            yield x
+        yield x, y, z
+
+    gen = xs(*(float(v) for v in params.x0))
+    next(islice(gen, params.burn_in, params.burn_in), None)  # skip the burn-in
+    out = np.fromiter(gen, float, count=params.steps)
+    if not all(map(math.isfinite, next(gen))):
+        state = np.asarray(params.x0, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(params.burn_in + params.steps):
+                state = rk4_step(state, dt, sigma, rho, beta)
+                if not np.isfinite(state).all():
+                    raise NumericError(f"Lorenz trajectory diverged at step {i}")
     return SignalTrace.from_values(out, delta=params.dt)
 
 

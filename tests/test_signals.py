@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagssm import ArgumentError, LorenzParams, NumericError, lorenz63, normalize_trace, sine_mixture, zoh_function
 from lagssm.signals import lorenz_rhs, rk4_step
@@ -100,6 +102,54 @@ def test_lorenz63_matches_rk4_step_fold():
 def test_lorenz63_divergence_names_step():
     with pytest.raises(NumericError, match="diverged at step 0"):
         lorenz63(LorenzParams(x0=(1e200, 1e200, 1e200), steps=10, burn_in=0))
+
+
+def test_lorenz63_divergence_in_z_alone():
+    """After one step x is -3.6e293, still finite; only z overflows, so a
+    check on x alone would pass this trajectory."""
+    params = LorenzParams(x0=(1.5057502190205949e100, 0.0, 0.0), steps=1, burn_in=0)
+    with np.errstate(over="ignore"):
+        state = rk4_step(np.asarray(params.x0), params.dt, params.sigma, params.rho, params.beta)
+    assert np.isfinite(state[0]) and not np.isfinite(state[2])
+    with pytest.raises(NumericError, match="diverged at step 0$"):
+        lorenz63(params)
+
+
+def test_lorenz63_divergence_inside_burn_in_names_step():
+    with pytest.raises(NumericError, match="diverged at step 2$"):
+        lorenz63(LorenzParams(x0=(1e5, 1e5, 1e5), steps=3, burn_in=5))
+
+
+_component = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([-1.0, 1.0]), st.floats(0.0, 200.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x0=st.tuples(_component, _component, _component),
+    burn_in=st.integers(0, 4),
+    steps=st.integers(1, 4),
+)
+def test_lorenz63_is_the_fold_or_names_its_first_bad_step(x0, burn_in, steps):
+    """Zero, moderate and overflowing starts alike: lorenz63 returns the x
+    samples of the rk4_step fold bit for bit, or raises naming the fold's
+    first non-finite step, and lets no RuntimeWarning escape."""
+    params = LorenzParams(x0=x0, steps=steps, burn_in=burn_in)
+    state = np.asarray(x0, dtype=float)
+    xs, bad = [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(burn_in + steps):
+            state = rk4_step(state, params.dt, params.sigma, params.rho, params.beta)
+            if bad is None and not np.isfinite(state).all():
+                bad = i
+            xs.append(state[0])
+    if bad is None:
+        assert lorenz63(params).values.tobytes() == np.array(xs[burn_in:]).tobytes()
+    else:
+        with pytest.raises(NumericError, match=f"diverged at step {bad}$"):
+            lorenz63(params)
 
 
 def test_trace_shape_and_timestamps():

@@ -15,6 +15,7 @@ from .experiments import (
     cmd_reconstruct,
     cmd_tables,
 )
+from .matrices import INPUT_MODELS
 
 # Each common flag, the config key path it writes, and its argparse options.
 # --signal writes a dict of signal keys (see _signal_keys).
@@ -23,7 +24,7 @@ _FLAGS = (
     ("--delta", ("delta",), dict(type=float, help="time step")),
     ("--total-time", ("total_time",), dict(type=float, help="signal duration")),
     ("--tau", ("warp", "rate"), dict(type=float, help="warp rate")),
-    ("--input-model", ("input_model",), dict(choices=["zoh", "foh"], help="hold model")),
+    ("--input-model", ("input_model",), dict(choices=INPUT_MODELS, help="hold model")),
     ("--signal", ("signal",),
      dict(metavar="lorenz|sine|csv:PATH", help="input signal for the reconstruction command")),
     ("--burn-in", ("signal", "burn_in"), dict(type=int, help="Lorenz burn-in steps")),

@@ -14,13 +14,11 @@ compared with, or run against, anything built from a_hippo.
 Every polynomial matrix here is built without quadrature: the generator
 a_gen from the derivative of matrices.lag_matrix's M(c) at c = 1, a_delta
 as M(exp(delta / tau)), and the corrected transition as the forward shift
-c M(c) with c = exp(-delta / tau).  tables, reconstruct, the forward
-lagshift and matrices use these; only the default backward lagshift stays
-on the quadrature-built a_delta, checked against the exact shift, and FOH's
-log-weighted integral on the composite rule.  That rule is the fixed 64x8
-QuadratureConfig() default; no command setting changes it.  Every
-comparison is at rate tau: the reference pair is a_hippo / tau,
-b_hippo / tau.
+matrices.exact_shift, c M(c) with c = exp(-delta / tau).  Only the default
+backward lagshift stays on the quadrature-built a_delta, checked against
+exact_shift at -delta, and FOH's log-weighted integral on the fixed 64x8
+QuadratureConfig() rule; no command setting changes it.  Every comparison
+is at rate tau: the reference pair is a_hippo / tau, b_hippo / tau.
 
 tables builds in one stacked pass: one a_gen, at the larger of N and the
 largest table2 size, serves all three tables through its leading blocks;
@@ -42,21 +40,22 @@ from ._schema import build, check_fields, read_json
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import (
-    DIRAC,
     FOH,
     ZOH,
     backward_shift,
     bilinear_discretize,
     build_a_delta,
     build_a_gen,
-    build_b_delta,
     build_b_gen,
+    check_hold,
+    exact_shift,
     frobenius_rel_diff,
     hippo_legs_reference,
     hold_vectors,
     lag_matrix,
     matrix_exp,
     save_matrices_json,
+    step_factor,
 )
 from .quadrature import QuadratureConfig
 from .recurrence import SignalTrace, run
@@ -70,7 +69,6 @@ TABLE2_SIZES = (10, 30, 50)
 TABLE1_TOL_SMALL = 1e-7     # deltas up to 1e-2
 TABLE1_TOL_LARGE = 1e-3     # delta = 1e-1
 TABLE2_TOL = 1e-10
-TABLE3_FIRST_BAND = (2e-5, 2e-4)
 RECONSTRUCT_MSE_TOL = 1e-5
 LAGSHIFT_GRID_POINTS = 500
 RECON_GRID_POINTS = 1000
@@ -140,10 +138,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, "config")
-        if self.input_model not in (ZOH, FOH):
-            raise ArgumentError(
-                f"unknown input_model {self.input_model!r}; expected one of {[ZOH, FOH]}"
-            )
+        check_hold(self.input_model)
         # delta == 0 is allowed so the shift commands can show the identity
         # operator; signal-driven commands reject it when they divide by it.
         if self.delta < 0.0 or self.total_time <= 0.0:
@@ -209,14 +204,6 @@ def _write_table(path, header: list[str], table) -> None:
             fh.write(",".join(map(repr, row)) + "\r\n")
 
 
-def _forward_shift(cfg: ExperimentConfig) -> np.ndarray:
-    """Forward basis shift c M(c), c = exp(-delta / tau), from the exact lag
-    matrix; its transpose is the projection-tracking transition.  Each
-    command builds it at most once and reads its hold vectors off it."""
-    c = cfg.warp.f(-cfg.delta)
-    return c * lag_matrix(cfg.basis, c)
-
-
 def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     """Three matrix-equivalence sweeps written to table1/2/3.csv.
 
@@ -228,9 +215,10 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
             discretization of the rate-tau reference (a_hippo / tau,
             b_hippo / tau), with an exact-exponential column and
             cond(M(exp(delta / tau))), the conditioning of the backward
-            transition (large-step rows are conditioning-limited).
+            transition (large-step rows are conditioning-limited).  Each
+            row is checked on its exact-exponential column; the Tustin gap
+            grows with N, so only its rise with delta is checked.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
     checks = []
     n, tau = cfg.n_basis, cfg.warp.rate
     steps = np.array(TABLE_DELTAS)
@@ -239,9 +227,10 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     # leading block is bit-equal to a build at that size.
     a_gen = build_a_gen(BasisSpec(n_basis=max(n, *TABLE2_SIZES)), cfg.warp)
     lags = lag_matrix(
-        cfg.basis, [cfg.warp.f(s * d) for s in (1.0, -1.0) for d in TABLE_DELTAS]
+        cfg.basis, [step_factor(cfg.warp, s * d) for s in (1.0, -1.0) for d in TABLE_DELTAS]
     )
     a_deltas, shifts = lags[: len(TABLE_DELTAS)], lags[len(TABLE_DELTAS) :]
+    os.makedirs(cfg.output_dir, exist_ok=True)
     exps = matrix_exp(steps[:, None, None] * a_gen[:n, :n])
     rows1 = []
     for d, a_d, exp_d in zip(TABLE_DELTAS, a_deltas, exps):
@@ -279,27 +268,20 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     rows3 = []
     for d, shift, a_bar, exact, cond in zip(TABLE_DELTAS, shifts, a_bars, exacts, conds):
         corrected_t = (cfg.warp.f(-d) * shift).T
-        rows3.append(
-            [
-                d,
-                frobenius_rel_diff(corrected_t, a_bar),
-                frobenius_rel_diff(corrected_t, exact),
-                float(cond),
-            ]
+        diff_exact = frobenius_rel_diff(corrected_t, exact)
+        rows3.append([d, frobenius_rel_diff(corrected_t, a_bar), diff_exact, float(cond)])
+        checks.append(
+            Check(
+                name=f"table3 delta={d:g}",
+                ok=diff_exact <= TABLE1_TOL_SMALL,
+                detail=f"diff_exact_exp={diff_exact:.3e} (tol {TABLE1_TOL_SMALL:g})",
+            )
         )
     diffs3 = [row[1] for row in rows3]
     _write_table(
         os.path.join(cfg.output_dir, "table3.csv"),
         ["delta", "diff", "diff_exact_exp", "cond_a_delta"],
         rows3,
-    )
-    lo, hi = TABLE3_FIRST_BAND
-    checks.append(
-        Check(
-            name="table3 delta=1e-4 band",
-            ok=lo <= diffs3[0] <= hi,
-            detail=f"diff={diffs3[0]:.3e} (band [{lo:g}, {hi:g}])",
-        )
     )
     increasing = all(a < b for a, b in zip(diffs3, diffs3[1:]))
     checks.append(
@@ -315,7 +297,7 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
 def _model_and_baseline(cfg: ExperimentConfig):
     """The exact lag-operator recurrence with cfg.input_model's input vector(s)
     and the Tustin-discretized reference, both in coefficient orientation."""
-    forward = _forward_shift(cfg)
+    forward = exact_shift(cfg.basis, cfg.warp, cfg.delta)
     b_model = hold_vectors(forward, cfg.basis, cfg.warp, cfg.delta, cfg.input_model)
     a_model = forward.T
     ref = hippo_legs_reference(cfg.n_basis)
@@ -327,9 +309,9 @@ def _model_and_baseline(cfg: ExperimentConfig):
 def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
     """Run the exact and reference recurrences on one signal and compare
     their final-state reconstructions (recon.csv, summary.json)."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
     trace = make_signal(cfg)
     (a_model, b_model), (a_base, b_base) = _model_and_baseline(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
 
     final_model = run(trace, a_model, b_model)[-1]
     final_base = run(trace, a_base, b_base)[-1]
@@ -376,7 +358,7 @@ def cmd_lagshift(
     """Emit one basis function next to its shifted image (lagshift.csv).
 
     The backward shift is built on the composite rule, so its row is also
-    checked against the same row of the exact c M(c), c = exp(delta / tau).
+    checked against the same row of the exact shift at -delta.
     """
     if direction not in ("forward", "backward"):
         raise ArgumentError(f"direction must be forward or backward, got {direction!r}")
@@ -387,7 +369,7 @@ def cmd_lagshift(
         a_d = build_a_delta(cfg.basis, cfg.warp, cfg.delta)
         op = backward_shift(a_d, cfg.delta, rate=cfg.warp.rate)
     else:
-        op = _forward_shift(cfg)
+        op = exact_shift(cfg.basis, cfg.warp, cfg.delta)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     t_end = cfg.total_time
@@ -409,8 +391,7 @@ def cmd_lagshift(
         )
     ]
     if direction == "backward":
-        c = cfg.warp.f(cfg.delta)
-        exact = c * lag_matrix(cfg.basis, c)[n_show]
+        exact = exact_shift(cfg.basis, cfg.warp, -cfg.delta)[n_show]
         err = float(np.abs(op[n_show] - exact).max() / np.abs(exact).max())
         checks.append(
             Check(
@@ -424,19 +405,15 @@ def cmd_lagshift(
 
 def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
     """Dump every built matrix with metadata to matrices.json."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
     basis, warp, rule = cfg.basis, cfg.warp, QuadratureConfig()
-    c = warp.f(-cfg.delta)
-    shift, a_delta = lag_matrix(basis, [c, warp.f(cfg.delta)])
-    forward = c * shift
+    forward = exact_shift(basis, warp, cfg.delta)
     ref = hippo_legs_reference(cfg.n_basis)
     foh = hold_vectors(forward, basis, warp, cfg.delta, FOH)
     arrays = {
         "a_gen": build_a_gen(basis, warp),
         "b_gen": build_b_gen(basis, warp),
-        "a_delta": a_delta,
+        "a_delta": lag_matrix(basis, step_factor(warp, cfg.delta)),
         "a_corrected": forward,
-        "b_delta_dirac": build_b_delta(basis, warp, cfg.delta, DIRAC),
         "b_delta_zoh": hold_vectors(forward, basis, warp, cfg.delta, ZOH),
         "b_delta_foh_v_next": foh.v_next,
         "b_delta_foh_v_prev": foh.v_prev,
@@ -451,6 +428,7 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
         "quad_points": rule.points_per_panel,  # the fixed rule of the FOH term
         "quad_panels": rule.panels,
     }
+    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "matrices.json")
     save_matrices_json(path, arrays, meta)
     return [Check(name="matrices dump", ok=True, detail=path)]

@@ -29,8 +29,8 @@ from .errors import ArgumentError, NumericError
 from .quadrature import QuadratureConfig, panel_nodes
 from .warp import WarpSpec, lag
 
-DIRAC, ZOH, FOH = "dirac", "zoh", "foh"
-INPUT_MODELS = (DIRAC, ZOH, FOH)
+ZOH, FOH = "zoh", "foh"
+INPUT_MODELS = (ZOH, FOH)  # the hold models of a sampled input
 
 # build_a_delta refuses a step delta / tau above this, before it evaluates
 # the basis at exp(delta / tau) z; the cap only bounds the input.
@@ -170,9 +170,8 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
     stack from one pass of the recurrence, each slice bit-equal to the
     scalar call.
 
-    For the exponential warp with rate tau, M(exp(delta / tau)) is a_delta,
-    and with c = exp(-delta / tau) the forward basis shift is c M(c), whose
-    transpose is exp(delta a_hippo / tau).
+    For the exponential warp with rate tau, M(exp(delta / tau)) is a_delta;
+    exact_shift builds the shifts c M(c).
     """
     cs = np.asarray(c, dtype=float)
     if cs.ndim > 1:
@@ -209,6 +208,36 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
     return cols.T
 
 
+def check_hold(model: str, delta: float | None = None) -> None:
+    """ArgumentError unless model is in INPUT_MODELS and a given delta > 0."""
+    if model not in INPUT_MODELS:
+        raise ArgumentError(f"unknown input_model {model!r}; expected one of {list(INPUT_MODELS)}")
+    if delta is not None and delta <= 0.0:
+        raise ArgumentError(f"delta must be positive for {model}, got {delta}")
+
+
+def step_factor(warp: WarpSpec, delta: float) -> float:
+    """f(delta) = exp(delta / tau) for a signed step; an ArgumentError naming
+    delta/tau when it underflows to 0 or overflows."""
+    with np.errstate(over="ignore"):
+        c = warp.f(delta)
+    if not 0.0 < c < np.inf:
+        raise ArgumentError(
+            f"delta/tau={abs(delta) / warp.rate:g} (delta={abs(delta)}, tau={warp.rate}) "
+            f"is out of float range: exp({delta / warp.rate:g}) is {c}"
+        )
+    return c
+
+
+def exact_shift(basis: BasisSpec, warp: WarpSpec, delta: float) -> np.ndarray:
+    """c M(c), c = f(-delta): for delta > 0 the forward shift of the basis
+    stack (its transpose is exp(delta a_hippo / tau); row 0 gives
+    hold_vectors), for delta < 0 the exact backward shift, which
+    backward_shift(build_a_delta(...)) builds on the composite rule."""
+    c = step_factor(warp, -delta)
+    return c * lag_matrix(basis, c)
+
+
 def hold_vectors(
     forward: np.ndarray,
     basis: BasisSpec,
@@ -217,18 +246,15 @@ def hold_vectors(
     model: str,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> np.ndarray | FohVectors:
-    """ZOH vector or FOH pair from the forward basis shift c M(c),
-    c = f(-delta).
+    """ZOH vector or FOH pair from the forward shift exact_shift(basis, warp,
+    delta) = c M(c), c = f(-delta).
 
     Row 0 of c M(c) integrates phi_n over [0, c], so the ZOH vector, the
     integral of phi_n over [c, 1], is its negative plus 1 - c in entry 0
     (taken as -expm1(-delta / tau)).  FOH adds Ig, the integral of
     phi_n * g, which is not polynomial and stays on the composite rule.
     """
-    if model not in (ZOH, FOH):
-        raise ArgumentError(f"hold vectors exist for zoh and foh, not {model!r}")
-    if delta <= 0.0:
-        raise ArgumentError(f"delta must be positive for {model}, got {delta}")
+    check_hold(model, delta)
     i1 = -forward[0]
     i1[0] = -np.expm1(-delta / warp.rate)
     if model == ZOH:
@@ -279,16 +305,16 @@ def build_b_delta(
     model: str = ZOH,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> np.ndarray | FohVectors:
-    """Discrete input vector(s) for one hold model.
+    """Discrete input vector(s) for one hold model of INPUT_MODELS.
 
-    dirac: b_gen = phi_n(1) f'(0), independent of delta.
     zoh:   integral of phi_n over [f(-delta), 1].
     foh:   FohVectors(v_next, v_prev) with v_next = I1 + Ig/delta and
            v_prev = -Ig/delta, where I1 integrates phi_n and Ig integrates
            phi_n * g over [f(-delta), 1].
 
-    I1 (the zoh vector) is read exactly off the lag matrix at
-    c = f(-delta) (see hold_vectors); Ig is on the composite rule.
+    I1 (the zoh vector) is read exactly off exact_shift(basis, warp, delta)
+    (see hold_vectors); Ig is on the composite rule.  The input vector of an
+    unsampled input, independent of delta, is build_b_gen.
 
     For the exponential warp with rate tau, b_gen = phi_n(1) / tau and
     c_n = (phi_n(1) + phi_n'(1)) / tau^2 = sqrt(2n+1) (1 + n(n+1)) / tau^2,
@@ -300,14 +326,8 @@ def build_b_delta(
 
     and v_next + v_prev is the zoh vector.
     """
-    if model not in INPUT_MODELS:
-        raise ArgumentError(f"unknown input model {model!r}; pick from {INPUT_MODELS}")
-    if model == DIRAC:
-        return build_b_gen(basis, warp)
-    if delta <= 0.0:
-        raise ArgumentError(f"delta must be positive for {model}, got {delta}")
-    c = warp.f(-delta)
-    return hold_vectors(c * lag_matrix(basis, c), basis, warp, delta, model, quad)
+    check_hold(model, delta)
+    return hold_vectors(exact_shift(basis, warp, delta), basis, warp, delta, model, quad)
 
 
 _PADE13_B = (

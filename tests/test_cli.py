@@ -127,10 +127,31 @@ class TestTablesStackedPass:
 
     def test_rate_two_identities_pass(self, tmp_path):
         checks = cmd_tables(ExperimentConfig(warp=WarpSpec(rate=2.0), output_dir=str(tmp_path)))
-        by_name = {c.name: c for c in checks}
-        assert all(c.ok for name, c in by_name.items() if name.startswith(("table1", "table2")))
+        assert all(c.ok for c in checks), [c.line() for c in checks if not c.ok]
         _, rows = read_table(tmp_path / "table3.csv")
         assert all(r[2] <= 1e-12 for r in rows)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n", "1"], ["--n", "128"], ["--n", "256"], ["--tau", "2"],
+         ["--n", "256", "--tau", "0.1"]],
+    )
+    def test_right_tables_pass_away_from_the_default(self, tmp_path, capsys, flags):
+        """table3 checks the transition against its closed form, not the
+        Tustin gap, which grows with N: right matrices pass at every N, tau."""
+        assert main(["tables", "--out", str(tmp_path), *flags]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS table3 delta=") == len(TABLE_DELTAS)
+
+    def test_rate_one_form_at_rate_two_fails_table3(self, tmp_path, monkeypatch):
+        """A transition built with the tau=1 form c = exp(-delta) against the
+        rate-2 closed form reads at least 5e-5, so each table3 delta check
+        fails."""
+        monkeypatch.setattr(WarpSpec, "f", lambda self, x: np.exp(x))
+        checks = cmd_tables(ExperimentConfig(warp=WarpSpec(rate=2.0), output_dir=str(tmp_path)))
+        table3 = [c for c in checks if c.name.startswith("table3 delta=")]
+        assert len(table3) == len(TABLE_DELTAS)
+        assert not any(c.ok for c in table3), [c.line() for c in table3]
 
     def test_reconstruct_at_rate_two(self, tmp_path):
         assert main(["reconstruct", "--tau", "2", "--out", str(tmp_path)]) == 0
@@ -313,11 +334,58 @@ class TestMatricesCommand:
         rebuilt = lag_matrix(BasisSpec(n_basis=12), np.exp(0.01))
         np.testing.assert_array_equal(arrays["a_delta"], rebuilt)
 
+    def test_key_list(self, tmp_path):
+        """Each array once: the impulse-input vector is b_gen."""
+        from lagssm.matrices import load_matrices_json
+
+        assert main(["matrices", "--out", str(tmp_path), "--n", "3"]) == 0
+        arrays, _ = load_matrices_json(tmp_path / "matrices.json")
+        assert sorted(arrays) == [
+            "a_corrected", "a_delta", "a_gen", "a_hippo", "b_delta_foh_v_next",
+            "b_delta_foh_v_prev", "b_delta_zoh", "b_gen", "b_hippo",
+        ]
+
     def test_file_has_json_dump_layout(self, tmp_path):
         """The streamed file is laid out as json.dump(..., indent=1) would."""
         assert main(["matrices", "--out", str(tmp_path), "--n", "5"]) == 0
         text = (tmp_path / "matrices.json").read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+
+class TestRefusedCommands:
+    """A command that exits 2 writes nothing, not even its --out directory."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["reconstruct", "--n", "8", "--total-time", "0.001"], "total_time=0.001"),
+         (["matrices", "--n", "8", "--delta", "0"], "delta must be positive"),
+         (["tables", "--n", "256", "--tau", "0.01"], "lag matrix overflows")],
+    )
+    def test_refused_input_makes_no_directory(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["reconstruct", "--signal", "sine", "--delta", "800"], "exp(-800) is 0.0"),
+            (["lagshift", "--direction", "forward", "--delta", "800"], "exp(-800) is 0.0"),
+            (["matrices", "--delta", "720"], "exp(720) is inf"),
+            (["tables", "--tau", "0.0001"], "exp(1000) is inf"),
+        ],
+        ids=["reconstruct", "lagshift", "matrices", "tables"],
+    )
+    def test_step_out_of_float_range_is_named(self, tmp_path, capsys, argv, shown):
+        """A step whose exponential leaves float range names delta/tau, with
+        no RuntimeWarning (pytest makes one an error), and writes nothing."""
+        out = tmp_path / "out"
+        assert main([*argv, "--total-time", "2000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta/tau=") and shown in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
 
 
 class TestParserReuse:
@@ -400,8 +468,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", ["tables", "reconstruct", "lagshift", "matrices"])
     def test_dirac_input_model_is_an_error(self, tmp_path, capsys, command):
-        """input_model takes the sampled-input hold models only; the Dirac
-        vector has no factor of delta and stays a library model."""
+        """input_model takes the sampled-input hold models only; the
+        impulse-input vector, with no factor of delta, is build_b_gen."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"input_model": "dirac"}))
         out = tmp_path / "out"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lagssm import (
     ArgumentError,
     BasisSpec,
+    ExperimentConfig,
     FohVectors,
     NumericError,
     QuadratureConfig,
@@ -27,7 +28,9 @@ from lagssm import (
     matrix_exp,
 )
 from lagssm.matrices import (
+    INPUT_MODELS,
     MATRIX_SCHEMA_VERSION,
+    exact_shift,
     hold_vectors,
     load_matrices_json,
     save_matrices_json,
@@ -271,19 +274,28 @@ class TestShiftsAtRate:
 
 
 class TestBDelta:
-    def test_dirac(self):
-        b = build_b_delta(BasisSpec(n_basis=3), W, 0.3, "dirac", QUAD)
-        np.testing.assert_allclose(b, [1.0, np.sqrt(3.0), np.sqrt(5.0)], atol=1e-15)
+    def test_model_list_refuses_dirac(self, monkeypatch):
+        """zoh and foh are the one model set: build_b_delta, hold_vectors and
+        a config refuse "dirac" with the same message, build_b_delta before
+        it builds a matrix.  The impulse-input vector is build_b_gen."""
+        assert INPUT_MODELS == ("zoh", "foh")
+        spec = BasisSpec(n_basis=3)
+        message = "unknown input_model 'dirac'; expected one of ['zoh', 'foh']"
 
-    def test_dirac_delta_independent(self):
-        spec = BasisSpec(n_basis=5)
-        b1 = build_b_delta(spec, W, 0.01, "dirac", QUAD)
-        b2 = build_b_delta(spec, W, 0.25, "dirac", QUAD)
-        np.testing.assert_array_equal(b1, b2)
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built before the model check")
 
-    def test_dirac_is_b_gen(self):
-        spec, w2 = BasisSpec(n_basis=8), WarpSpec(rate=2.0)
-        np.testing.assert_array_equal(build_b_delta(spec, w2, 0.01, "dirac"), build_b_gen(spec, w2))
+        monkeypatch.setattr("lagssm.matrices.lag_matrix", no_matrix)
+        for refuse in (
+            lambda: build_b_delta(spec, W, 0.01, "dirac", QUAD),
+            lambda: hold_vectors(np.eye(3), spec, W, 0.01, "dirac", QUAD),
+            lambda: ExperimentConfig(input_model="dirac"),
+        ):
+            with pytest.raises(ArgumentError) as exc:
+                refuse()
+            assert str(exc.value) == message
+        with pytest.raises(ArgumentError, match="delta must be positive for zoh"):
+            build_b_delta(spec, W, 0.0, "zoh", QUAD)
 
     def test_zoh_constant_mode_closed_form(self):
         for delta in (0.01, 0.1, 0.3):
@@ -505,6 +517,28 @@ class TestLagMatrix:
 
     def test_identity_at_one(self):
         np.testing.assert_array_equal(lag_matrix(BasisSpec(n_basis=64), 1.0), np.eye(64))
+
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.01, -0.01, 0.5, -0.5])
+    @pytest.mark.parametrize("n", [1, 8, 64, 128])
+    def test_exact_shift_is_c_times_lag_matrix(self, n, delta, tau):
+        """exact_shift(basis, warp, delta) is c M(c), c = f(-delta), bit for
+        bit, for either sign of the step."""
+        spec, warp = BasisSpec(n_basis=n), WarpSpec(rate=tau)
+        c = warp.f(-delta)
+        np.testing.assert_array_equal(exact_shift(spec, warp, delta), c * lag_matrix(spec, c))
+
+    @pytest.mark.parametrize(
+        "delta, named",
+        [(800.0, "delta/tau=800 (delta=800.0, tau=1.0) is out of float range: exp(-800) is 0.0"),
+         (-720.0, "delta/tau=720 (delta=720.0, tau=1.0) is out of float range: exp(720) is inf")],
+    )
+    def test_step_out_of_float_range_is_named(self, delta, named):
+        """exp(-delta / tau) underflowing to 0 or overflowing is refused with
+        delta/tau, delta and tau, and no RuntimeWarning (an error here)."""
+        with pytest.raises(ArgumentError) as exc:
+            exact_shift(BasisSpec(n_basis=4), W, delta)
+        assert str(exc.value) == named
 
     def test_backward_is_a_delta(self):
         """M(exp(delta)) is the quadrature-built a_delta where the rule is

@@ -281,9 +281,14 @@ class TestRunMatchesStepFold:
     @pytest.mark.parametrize("model", ["dirac", "zoh", "foh"])
     @pytest.mark.parametrize("n", [1, 8, 64, 128])
     def test_hold_models(self, model, n):
-        delta = 0.01
-        a = coefficient_transition(BasisSpec(n_basis=n), delta)
-        b = build_b_delta(BasisSpec(n_basis=n), W, delta, model, QUAD)
+        """An impulse input ("dirac") drives with the plain b_gen vector, a
+        single column like zoh's; foh takes the two-column path."""
+        delta, spec = 0.01, BasisSpec(n_basis=n)
+        a = coefficient_transition(spec, delta)
+        if model == "dirac":
+            b = build_b_gen(spec, W)
+        else:
+            b = build_b_delta(spec, W, delta, model, QUAD)
         rng = np.random.default_rng(n)
         for length in (1, 2, 31, 32, 33, 1000):
             trace = SignalTrace.from_values(rng.standard_normal(length), delta)

@@ -41,7 +41,7 @@ from .recurrence import (
     step,
 )
 from .signals import LorenzParams, lorenz63, normalize_trace, sine_mixture, zoh_function
-from .warp import WarpSpec, lag, measure, warp_forward, warp_inverse
+from .warp import WarpSpec
 
 __version__ = "0.1.0"
 
@@ -73,18 +73,14 @@ __all__ = [
     "gauss_rule",
     "hippo_legs_reference",
     "integrate",
-    "lag",
     "lag_matrix",
     "lorenz63",
     "matrix_exp",
-    "measure",
     "normalize_trace",
     "project_direct",
     "reconstruct",
     "run",
     "sine_mixture",
     "step",
-    "warp_forward",
-    "warp_inverse",
     "zoh_function",
 ]

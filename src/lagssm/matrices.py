@@ -19,15 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (
-    MAX_BASIS_SIZE,
-    BasisSpec,
-    boundary_values,
-    phi_matrix,
-)
+from .basis import BasisSpec, boundary_values, phi_matrix
 from .errors import ArgumentError, NumericError
 from .quadrature import QuadratureConfig, panel_nodes
-from .warp import WarpSpec, lag
+from .warp import WarpSpec
 
 ZOH, FOH = "zoh", "foh"
 INPUT_MODELS = (ZOH, FOH)  # the hold models of a sampled input
@@ -109,8 +104,7 @@ def hippo_legs_reference(n_basis: int) -> HippoReference:
     a_hippo is lower triangular with diagonal -(n+1) and subdiagonal
     entries -sqrt((2n+1)(2m+1)); b_hippo has entries sqrt(2n+1).
     """
-    if not (1 <= n_basis <= MAX_BASIS_SIZE):
-        raise ArgumentError(f"n_basis must be in [1, {MAX_BASIS_SIZE}], got {n_basis}")
+    BasisSpec(n_basis=n_basis)  # the basis size check: an ArgumentError if out of range
     n = np.arange(n_basis)
     root = np.sqrt(2.0 * n + 1.0)
     a0 = np.tril(np.outer(root, root), -1) + np.diag(n.astype(float))
@@ -126,7 +120,8 @@ def build_a_delta(
     """Discrete transition of the basis stack over one step, on the
     composite rule.
 
-    Entry (n, m) integrates phi_n(z) * phi_m(lag(delta, z)) over (0, 1].
+    Entry (n, m) integrates phi_n(z) * phi_m(f(delta + g(z))) over (0, 1],
+    with f(delta + g(z)) the backward lag of z.
     For the exponential warp this is upper triangular with diagonal
     exp(n * delta / tau); lag_matrix(basis, exp(delta / tau)) is its exact
     form, for any delta.
@@ -149,7 +144,7 @@ def build_a_delta(
         )
     z, w = panel_nodes(0.0, 1.0, quad)
     phi = phi_matrix(basis, z)
-    phi_lagged = phi_matrix(basis, lag(warp, delta, z))
+    phi_lagged = phi_matrix(basis, warp.f(delta + warp.g(z)))
     return (phi * w) @ phi_lagged.T
 
 
@@ -204,7 +199,9 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
     finite = np.isfinite(cols).all(axis=(0, 1)).reshape(-1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise NumericError(f"lag matrix overflows at c={stack[i]} and N={n}")
+        raise NumericError(  # ln c is delta/tau for the step factor exp(delta/tau)
+            f"lag matrix overflows at c={stack[i]} (delta/tau={np.log(stack[i]):g}) and N={n}"
+        )
     return cols.T
 
 

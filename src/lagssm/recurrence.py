@@ -21,7 +21,7 @@ from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError, DomainError
 from .matrices import FohVectors
 from .quadrature import QuadratureConfig, panel_nodes
-from .warp import WarpSpec, warp_forward, warp_inverse
+from .warp import WarpSpec
 
 _UNIFORM_TOL = 1e-12
 _MAX_CHUNK = 32
@@ -337,8 +337,7 @@ def reconstruct(
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
     if np.any(s > state.t):
         raise DomainError(f"grid points must not exceed t={state.t}")
-    z = warp_forward(warp, state.t, s)
-    return state.coeffs @ phi_matrix(basis, z)
+    return state.coeffs @ phi_matrix(basis, warp.f(s - state.t))
 
 
 def project_direct(
@@ -352,7 +351,7 @@ def project_direct(
     warped basis, computed as c_n = integral of phi_n(z) u(sigma_t^{-1}(z))
     over the canonical interval."""
     z, w = panel_nodes(0.0, 1.0, quad)
-    s = warp_inverse(warp, t, z)
+    s = t + warp.g(z)
     vals = np.asarray([u(si) for si in s], dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = s[~np.isfinite(vals)][0]

@@ -359,7 +359,11 @@ class TestRefusedCommands:
         "argv, named",
         [(["reconstruct", "--n", "8", "--total-time", "0.001"], "total_time=0.001"),
          (["matrices", "--n", "8", "--delta", "0"], "delta must be positive"),
-         (["tables", "--n", "256", "--tau", "0.01"], "lag matrix overflows")],
+         (["tables", "--n", "256", "--tau", "0.01"], "lag matrix overflows"),
+         # M(c) overflows long before c leaves float range; the error names
+         # the step's delta/tau, which the user set, not only the internal c.
+         (["tables", "--n", "256", "--tau", "0.01"], "(delta/tau=10)"),
+         (["matrices", "--n", "256", "--delta", "0.5", "--tau", "0.01"], "(delta/tau=50)")],
     )
     def test_refused_input_makes_no_directory(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"

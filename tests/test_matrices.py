@@ -153,6 +153,13 @@ class TestHippoReference:
         with pytest.raises(ArgumentError):
             hippo_legs_reference(0)
 
+    @pytest.mark.parametrize("n", [8.5, True])
+    def test_size_must_be_an_integer(self, n):
+        """The size is checked by BasisSpec, so a non-integer is a named
+        ArgumentError, not numpy's TypeError."""
+        with pytest.raises(ArgumentError, match="n_basis must be an integer"):
+            hippo_legs_reference(n)
+
 
 class TestADelta:
     def test_identity_limit(self):

@@ -58,7 +58,7 @@ from .matrices import (
     step_factor,
 )
 from .quadrature import QuadratureConfig
-from .recurrence import SignalTrace, run
+from .recurrence import SignalTrace, _grid_slack, run
 from .signals import LorenzParams, lorenz63, normalize_trace, sine_mixture
 from .warp import WarpSpec
 
@@ -170,7 +170,8 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
     sig = cfg.signal
     if sig.kind == "csv":
         trace = SignalTrace.from_csv(sig.csv_path)
-        if abs(trace.delta - cfg.delta) > 1e-12:
+        span = trace.values.size - 1  # the two grids part most at the last sample
+        if abs(trace.delta - cfg.delta) * span > _grid_slack(trace.t0, trace.t0 + span * cfg.delta):
             raise ArgumentError(
                 f"trace spacing {trace.delta} does not match configured delta {cfg.delta}"
             )
@@ -316,18 +317,19 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
     final_model = run(trace, a_model, b_model)[-1]
     final_base = run(trace, a_base, b_base)[-1]
 
-    t_end = final_model.t
-    s_grid = np.linspace(0.0, t_end, RECON_GRID_POINTS)
-    phi = phi_matrix(cfg.basis, cfg.warp.f(s_grid - t_end))
+    # The history at s = t0 + x, seen x - L delta back: the figures do not depend on t0.
+    span = trace.values.size * trace.delta
+    x = np.linspace(0.0, span, RECON_GRID_POINTS)
+    phi = phi_matrix(cfg.basis, cfg.warp.f(x - span))
     rec_model = final_model.coeffs @ phi
     rec_base = final_base.coeffs @ phi
-    omega = cfg.warp.f_prime(s_grid - t_end)
+    omega = cfg.warp.f_prime(x - span)
     mse = float(np.mean((rec_model - rec_base) ** 2))
 
     _write_table(
         os.path.join(cfg.output_dir, "recon.csv"),
         ["s", "u_model", "u_baseline", "omega"],
-        np.column_stack([s_grid, rec_model, rec_base, omega]),
+        np.column_stack([trace.t0 + x, rec_model, rec_base, omega]),
     )
     summary = {
         "mse": mse,

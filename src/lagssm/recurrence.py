@@ -11,6 +11,7 @@ project_direct is the offline oracle for exactly that quantity.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .matrices import FohVectors
 from .quadrature import QuadratureConfig, panel_nodes
 from .warp import WarpSpec
 
-_UNIFORM_TOL = 1e-12
+_GRID_ULPS = 4
 _MAX_CHUNK = 32
 _BLOCK_CHUNKS = 64
 
@@ -46,37 +47,29 @@ class MemoryState:
 
 @dataclass(frozen=True)
 class SignalTrace:
-    """Uniformly spaced samples (times[i], values[i]) with spacing delta."""
+    """Samples values[k] taken at t0 + k * delta: the grid is (t0, delta)."""
 
-    times: np.ndarray
     values: np.ndarray
     delta: float
+    t0: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size == 0:
-            raise ArgumentError("times and values must be equal-length 1-D arrays")
-        for name, arr in (("times", t), ("values", v)):
-            if not np.all(np.isfinite(arr)):
-                i = int(np.argmin(np.isfinite(arr)))
-                raise ArgumentError(f"{name} must be finite; sample {i} is {arr[i]!r}")
-        if self.delta <= 0.0:
-            raise ArgumentError(f"delta must be positive, got {self.delta}")
-        if t.size > 1:
-            gaps = np.diff(t)
-            if np.any(gaps <= 0.0):
-                raise ArgumentError("times must be strictly increasing")
-            if np.max(np.abs(gaps - self.delta)) > _UNIFORM_TOL:
-                raise ArgumentError("times must be uniformly spaced by delta")
-        object.__setattr__(self, "times", t)
+        if v.ndim != 1 or v.size == 0:
+            raise ArgumentError(f"values must be a nonempty 1-D array, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            i = int(np.argmin(np.isfinite(v)))
+            raise ArgumentError(f"values must be finite; sample {i} is {v[i]!r}")
+        if not (0.0 < self.delta < math.inf and math.isfinite(self.t0)):
+            raise ArgumentError(
+                f"delta must be positive and t0 finite, got delta={self.delta}, t0={self.t0}"
+            )
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_values(cls, values, delta: float, t0: float = 0.0) -> "SignalTrace":
-        values = np.asarray(values, dtype=float)
-        times = t0 + delta * np.arange(values.size)
-        return cls(times=times, values=values, delta=delta)
+    @property
+    def times(self) -> np.ndarray:
+        """The sample times t0 + k * delta, built on each read."""
+        return self.t0 + self.delta * np.arange(self.values.size)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -88,16 +81,14 @@ class SignalTrace:
     @classmethod
     def from_csv(cls, path) -> "SignalTrace":
         """Trace from t,u rows (an optional t,u header; lines starting with
-        # are skipped).  A file that cannot be read, or a row that is not two
-        numbers, raises ArgumentError naming the path and the row."""
+        # are skipped) on the grid t0 = first time, delta = span / (n - 1).
+        A file that cannot be read, a row that is not two numbers, or a time
+        that is not finite, not increasing or off the grid by more than
+        _grid_slack raises ArgumentError naming the path and the row."""
         try:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
-                rows = [
-                    (reader.line_num, r)
-                    for r in reader
-                    if r and not r[0].startswith("#")
-                ]
+                rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
         except (OSError, UnicodeError, csv.Error) as exc:
             raise ArgumentError(f"cannot read signal file {str(path)!r}: {exc}") from exc
         if rows and rows[0][1][:2] == ["t", "u"]:
@@ -115,17 +106,27 @@ class SignalTrace:
                 ) from None
         times, values = np.array(samples).T
         if times.size == 1:
-            raise ArgumentError("need at least two samples to infer delta")
-        delta = float(times[1] - times[0])
-        return cls(times=times, values=values, delta=delta)
+            raise ArgumentError(f"need at least two samples in {path} to infer delta")
+        ok, what = np.isfinite(times), "finite"
+        if ok.all():
+            ok, what = np.diff(times, prepend=-np.inf) > 0.0, "strictly increasing"
+        if ok.all():
+            t0, t_end = float(times[0]), float(times[-1])
+            trace = cls(values, (t_end - t0) / (times.size - 1), t0)
+            ok = np.abs(times - trace.times) <= _grid_slack(t0, t_end)
+            what = f"uniformly spaced by {trace.delta!r}"
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ArgumentError(
+                f"signal file {str(path)!r} row {rows[i][0]}: times must be {what}, got {times[i]!r}"
+            )
+        return trace
 
 
-def _apply_step(coeffs, a, b_model, u_next, u_prev):
-    if isinstance(b_model, FohVectors):
-        if u_prev is None:
-            raise ArgumentError("first-order-hold input needs u_prev")
-        return a @ coeffs + b_model.v_next * u_next + b_model.v_prev * u_prev
-    return a @ coeffs + np.asarray(b_model) * u_next
+def _grid_slack(t0: float, t_end: float) -> float:
+    """How far a time read from outside may sit from its grid point: a few
+    ulps of the largest |t|, the rounding of a file written by to_csv."""
+    return _GRID_ULPS * float(np.spacing(max(abs(t0), abs(t_end))))
 
 
 def step(
@@ -138,10 +139,13 @@ def step(
     delta: float,
 ) -> MemoryState:
     """One update c' = a c + (input contribution); time advances by delta."""
-    return MemoryState(
-        coeffs=_apply_step(state.coeffs, a, b_model, u_next, u_prev),
-        t=state.t + delta,
-    )
+    if not isinstance(b_model, FohVectors):
+        coeffs = a @ state.coeffs + np.asarray(b_model) * u_next
+    elif u_prev is None:
+        raise ArgumentError("first-order-hold input needs u_prev")
+    else:
+        coeffs = a @ state.coeffs + b_model.v_next * u_next + b_model.v_prev * u_prev
+    return MemoryState(coeffs=coeffs, t=state.t + delta)
 
 
 class Trajectory(Sequence):
@@ -159,17 +163,16 @@ class Trajectory(Sequence):
 
     A block that holds a non-finite state raises ArgumentError naming the
     first non-finite state of the run.  Item k is a MemoryState at
-    t = k * delta holding a copy of row k; a slice gives a list of such
-    states.
+    t = t0 + k * delta on the trace's grid, holding a copy of row k; a
+    slice gives a list of such states.
     """
 
-    def __init__(self, lhs: np.ndarray, rhs: np.ndarray, chunk: int, steps: int, delta: float):
+    def __init__(self, lhs: np.ndarray, rhs: np.ndarray, chunk: int, trace: SignalTrace):
         self._lhs = lhs
         self._rhs = rhs
         self._chunk = chunk
         self._n = rhs.shape[1] // chunk
-        self._steps = steps
-        self._delta = delta
+        self._steps, self._t0, self._delta = trace.values.size, trace.t0, trace.delta
         self._blocks = -(-lhs.shape[0] // _BLOCK_CHUNKS)
         self._cached = (None, None)
         self._coeffs = None
@@ -208,7 +211,7 @@ class Trajectory(Sequence):
         else:
             i = (k - 1) // (self._chunk * _BLOCK_CHUNKS)
             row = self._block(i)[k - self._first_state(i)]
-        return MemoryState(coeffs=row.copy(), t=k * self._delta)
+        return MemoryState(coeffs=row.copy(), t=self._t0 + k * self._delta)
 
     def _first_state(self, i: int) -> int:
         return 1 + i * _BLOCK_CHUNKS * self._chunk
@@ -237,17 +240,17 @@ class Trajectory(Sequence):
             if not finite.all():
                 k = self._first_state(i) + int(np.argmin(finite))
                 raise ArgumentError(
-                    f"coeffs must be finite: state {k} (t={k * self._delta!r}) "
+                    f"coeffs must be finite: state {k} (t={self._t0 + k * self._delta!r}) "
                     "is the first non-finite one"
                 )
 
 
 def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
-    """All states of the recurrence over the trace, from the zero state at t = 0.
+    """All states of the recurrence over the trace, from the zero state at t0.
 
-    Sample k covers the interval [k delta, (k+1) delta), so the state after
-    consuming it sits at (k+1) delta.  Times are step-count multiples of
-    delta rather than a running float sum.  Returns the initial state
+    Sample k covers the interval [t0 + k delta, t0 + (k+1) delta), so the
+    state after consuming it sits at t0 + (k+1) delta.  Times are t0 plus
+    step-count multiples of delta rather than a running float sum.  Returns the initial state
     followed by one state per sample, as a Trajectory that builds them on
     demand: `run(...)[-1]` costs the chunk-start pass plus one block.
 
@@ -322,7 +325,7 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
             np.add(start, prev @ a_k, out=start)
         lhs = lhs[:-1]
 
-    states = Trajectory(lhs, rhs, k, steps, trace.delta)
+    states = Trajectory(lhs, rhs, k, trace)
     last = states._blocks - 1
     if not np.isfinite(lhs[:, :n]).all():
         states._raise_first_non_finite(last)

@@ -30,7 +30,8 @@ class LorenzParams:
     def __post_init__(self):
         check_fields(self, "lorenz")
         if not (0.0 < self.dt <= MAX_LORENZ_DT):
-            raise ArgumentError(f"dt must be in (0, {MAX_LORENZ_DT}], got {self.dt}")
+            raise ArgumentError("Lorenz sample spacing delta must be in "
+                                f"(0, MAX_LORENZ_DT={MAX_LORENZ_DT}], got {self.dt}")
         if self.steps <= 0:
             raise ArgumentError(f"steps must be positive, got {self.steps}")
         if self.burn_in < 0:
@@ -52,7 +53,7 @@ def rk4_step(state: np.ndarray, dt: float, sigma: float, rho: float, beta: float
 
 
 def lorenz63(params: LorenzParams) -> SignalTrace:
-    """x-component after burn-in, timestamped from 0 with spacing dt.
+    """x-component after burn-in: a trace from t0 = 0 with delta = dt.
 
     Runs rk4_step's operations, in the same order, on Python floats rather
     than numpy 3-vectors, so the output is bit-identical to folding rk4_step
@@ -95,33 +96,26 @@ def lorenz63(params: LorenzParams) -> SignalTrace:
                 state = rk4_step(state, dt, sigma, rho, beta)
                 if not np.isfinite(state).all():
                     raise NumericError(f"Lorenz trajectory diverged at step {i}")
-    return SignalTrace.from_values(out, delta=params.dt)
+    return SignalTrace(out, params.dt)
 
 
 def sine_mixture(freqs, amps, phases, delta: float, steps: int) -> SignalTrace:
     """Samples of sum_i amps[i] * sin(2 pi freqs[i] t + phases[i])."""
-    freqs = np.asarray(freqs, dtype=float)
-    amps = np.asarray(amps, dtype=float)
-    phases = np.asarray(phases, dtype=float)
+    freqs, amps, phases = (np.asarray(x, dtype=float) for x in (freqs, amps, phases))
     if not (freqs.shape == amps.shape == phases.shape):
         raise ArgumentError("freqs, amps, phases must have equal lengths")
     t = delta * np.arange(steps)
-    if freqs.size == 0:
-        values = np.zeros(steps)
-    else:
-        values = (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t + phases[:, None])).sum(axis=0)
-    return SignalTrace.from_values(values, delta=delta)
+    values = (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t + phases[:, None])).sum(axis=0)
+    return SignalTrace(values, delta)
 
 
 def zoh_function(trace: SignalTrace):
-    """Piecewise-constant extension: sample k holds on [k delta, (k+1) delta).
+    """Piecewise-constant extension: sample k holds on [t0 + k delta, t0 + (k+1) delta).
 
     Returns 0 before the trace starts and after it ends; interval boundaries
-    are right-continuous (a point exactly at k delta reads sample k).
+    are right-continuous (a point exactly at t0 + k delta reads sample k).
     """
-    t0 = float(trace.times[0])
-    delta = trace.delta
-    values = trace.values
+    t0, delta, values = trace.t0, trace.delta, trace.values
     m = values.size
 
     def u(s):
@@ -138,10 +132,10 @@ def zoh_function(trace: SignalTrace):
 
 
 def normalize_trace(trace: SignalTrace) -> SignalTrace:
-    """Affine normalization to zero mean and unit max-abs: a new values
-    array, divided in place; the trace's times are shared, not copied."""
+    """Affine normalization to zero mean and unit max-abs on the same grid:
+    one new values array, divided in place."""
     v = trace.values - trace.values.mean()
-    peak = np.abs(v).max()
+    peak = max(v.max(), -v.min())
     if peak != 0.0:
         v /= peak
-    return SignalTrace(times=trace.times, values=v, delta=trace.delta)
+    return SignalTrace(v, trace.delta, trace.t0)

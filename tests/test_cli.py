@@ -14,6 +14,7 @@ import pytest
 
 from lagssm import (
     BasisSpec,
+    SignalTrace,
     WarpSpec,
     bilinear_discretize,
     build_a_gen,
@@ -194,11 +195,9 @@ class TestReconstruct:
         assert worst <= 0.05 * 1.0
 
     def test_csv_signal_round_trip(self, tmp_path):
-        from lagssm import SignalTrace
-
         trace_path = tmp_path / "sig.csv"
         values = np.sin(2 * np.pi * 0.5 * 0.01 * np.arange(300))
-        SignalTrace.from_values(values, delta=0.01).to_csv(trace_path)
+        SignalTrace(values, delta=0.01).to_csv(trace_path)
         code = main(
             [
                 "reconstruct",
@@ -211,6 +210,36 @@ class TestReconstruct:
             ]
         )
         assert code == 0
+
+    def test_csv_signal_from_t0(self, tmp_path):
+        """A file whose times start at t0 = 5 gives the t0 = 0 file's
+        recon.csv, with s running over the file's own span [5, 8]."""
+        values = np.sin(2 * np.pi * 0.5 * 0.01 * np.arange(300))
+        tables = {}
+        for t0 in (0.0, 5.0):
+            path = tmp_path / f"sig{t0}.csv"
+            SignalTrace(values, 0.01, t0=t0).to_csv(path)
+            out = tmp_path / f"out{t0}"
+            assert main(["reconstruct", "--out", str(out), "--signal", f"csv:{path}"]) == 0
+            tables[t0] = np.array(read_table(out / "recon.csv")[1])
+        assert tables[5.0][[0, -1], 0].tolist() == [5.0, 8.0]
+        assert tables[5.0][:, 1:].tobytes() == tables[0.0][:, 1:].tobytes()
+
+    def test_csv_spacing_must_match_delta(self, tmp_path, capsys):
+        """A late file (t0 = 1e4) matches its own delta; a delta off by more
+        than its times resolve is refused."""
+        path = tmp_path / "late.csv"
+        SignalTrace(np.sin(0.01 * np.arange(300)), 0.01, t0=1e4).to_csv(path)
+        argv = ["reconstruct", "--signal", f"csv:{path}"]
+        assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+        assert main([*argv, "--delta", "0.0100001", "--out", str(tmp_path / "off")]) == 2
+        assert "does not match configured delta 0.0100001" in capsys.readouterr().err
+
+    def test_long_sine_runs(self, tmp_path):
+        """10^6 samples: the times pass t = 8192, where their float spacing
+        exceeds 1e-12."""
+        assert main(["reconstruct", "--signal", "sine", "--total-time", "10000", "--out", str(tmp_path)]) == 0
+        assert read_table(tmp_path / "recon.csv")[1][-1][0] == 10000.0
 
     def test_foh_input_model_is_used(self, tmp_path):
         """--input-model foh drives the model recurrence with the FOH pair:
@@ -363,7 +392,10 @@ class TestRefusedCommands:
          # M(c) overflows long before c leaves float range; the error names
          # the step's delta/tau, which the user set, not only the internal c.
          (["tables", "--n", "256", "--tau", "0.01"], "(delta/tau=10)"),
-         (["matrices", "--n", "256", "--delta", "0.5", "--tau", "0.01"], "(delta/tau=50)")],
+         (["matrices", "--n", "256", "--delta", "0.5", "--tau", "0.01"], "(delta/tau=50)"),
+         # --delta is the Lorenz signal's sample spacing; the error says so.
+         (["reconstruct", "--delta", "0.05"],
+          "sample spacing delta must be in (0, MAX_LORENZ_DT=0.02], got 0.05")],
     )
     def test_refused_input_makes_no_directory(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"
@@ -563,8 +595,10 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "content, named",
-        [(None, "No such file"), ("t,u\n0.0,1.0\n0.01,abc\n", "row 3")],
-        ids=["missing", "bad-cell"],
+        [(None, "No such file"), ("t,u\n0.0,1.0\n0.01,abc\n", "row 3"),
+         ("t,u\n0.0,1.0\n0.0,2.0\n", "row 3: times must be strictly increasing"),
+         ("t,u\n0.0,1.0\nnan,2.0\n0.02,3.0\n", "row 3: times must be finite")],
+        ids=["missing", "bad-cell", "repeated-time", "nan-time"],
     )
     def test_unreadable_csv_signal_is_an_error(self, tmp_path, capsys, content, named):
         trace_path = tmp_path / "sig.csv"

@@ -1,5 +1,6 @@
 """Recurrence stepping, reconstruction, and the direct-projection oracle."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from lagssm import (
     correct_a_delta,
     hippo_legs_reference,
     matrix_exp,
+    normalize_trace,
     project_direct,
     reconstruct,
     run,
@@ -86,24 +88,48 @@ class TestStep:
 
 class TestRun:
     def test_zero_trace(self):
-        trace = SignalTrace.from_values(np.zeros(20), delta=0.1)
+        trace = SignalTrace(np.zeros(20), delta=0.1)
         states = run(trace, np.eye(3) * 0.5, np.ones(3))
         assert len(states) == 21
         for st in states:
             np.testing.assert_array_equal(st.coeffs, np.zeros(3))
 
     def test_times_are_integer_scaled(self):
-        trace = SignalTrace.from_values(np.ones(1000), delta=0.01)
+        trace = SignalTrace(np.ones(1000), delta=0.01)
         states = run(trace, np.eye(2) * 0.9, np.ones(2) * 0.01)
         for k, st in enumerate(states):
             assert st.t == k * 0.01
+
+    def test_states_start_at_t0(self):
+        """A trace from t0 = 5 gives the t0 = 0 run's states, stamped t0 +
+        k delta: the final state is the projection of the history up to
+        t0 + L delta = 8, and reconstructs on the trace's own times."""
+        spec, delta = BasisSpec(n_basis=16), 0.01
+        a, b = coefficient_transition(spec, delta), build_b_delta(spec, W, delta, "zoh", QUAD)
+        u = np.sin(np.pi * delta * np.arange(300))
+        early, late = SignalTrace(u, delta), SignalTrace(u, delta, t0=5.0)
+        states = run(late, a, b)
+        final, final0 = states[-1], run(early, a, b)[-1]
+        assert final.coeffs.tobytes() == final0.coeffs.tobytes()
+        assert final.t == 5.0 + 300 * 0.01
+        assert [s.t for s in states[:3]] == [5.0, 5.0 + delta, 5.0 + 2 * delta]
+        np.testing.assert_allclose(
+            reconstruct(final, spec, W, late.times),
+            reconstruct(final0, spec, W, early.times),
+            rtol=0.0,
+            atol=1e-12,
+        )
+        oracle = project_direct(
+            zoh_function(late), spec, W, t=final.t, quad=QuadratureConfig(points_per_panel=64, panels=128)
+        )
+        assert np.linalg.norm(final.coeffs - oracle.coeffs) <= 1e-3 * np.linalg.norm(oracle.coeffs)
 
     def test_constant_input_converges_to_fixed_point(self):
         spec = BasisSpec(n_basis=16)
         delta = 0.01
         a = coefficient_transition(spec, delta)
         b = np.asarray(build_b_delta(spec, W, delta, "zoh", QUAD))
-        trace = SignalTrace.from_values(np.ones(4500), delta=delta)
+        trace = SignalTrace(np.ones(4500), delta=delta)
         states = run(trace, a, b)
         # successive updates settle once the history looks constant
         for k in range(4000, 4500):
@@ -121,9 +147,9 @@ class TestRun:
         u1 = rng.standard_normal(100)
         u2 = rng.standard_normal(100)
         alpha, beta = 1.7, -0.4
-        mixed = run(SignalTrace.from_values(alpha * u1 + beta * u2, delta), a, b)[-1]
-        c1 = run(SignalTrace.from_values(u1, delta), a, b)[-1].coeffs
-        c2 = run(SignalTrace.from_values(u2, delta), a, b)[-1].coeffs
+        mixed = run(SignalTrace(alpha * u1 + beta * u2, delta), a, b)[-1]
+        c1 = run(SignalTrace(u1, delta), a, b)[-1].coeffs
+        c2 = run(SignalTrace(u2, delta), a, b)[-1].coeffs
         np.testing.assert_allclose(mixed.coeffs, alpha * c1 + beta * c2, atol=1e-10)
 
     def test_decay_rate_with_zero_input(self):
@@ -214,15 +240,69 @@ class TestProjectDirect:
         np.testing.assert_allclose(state.coeffs, expect, atol=1e-10)
 
 
+def write_rows(path, times, values=None):
+    """A t,u file with the given times, written as to_csv writes floats."""
+    values = np.zeros(len(times)) if values is None else values
+    rows = [f"{float(t)!r},{float(u)!r}" for t, u in zip(times, values)]
+    path.write_text("t,u\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
 class TestSignalTrace:
-    def test_uniform_spacing_enforced(self):
-        with pytest.raises(ArgumentError):
-            SignalTrace(times=np.array([0.0, 0.1, 0.25]), values=np.zeros(3), delta=0.1)
-        with pytest.raises(ArgumentError):
-            SignalTrace(times=np.array([0.0, 0.0]), values=np.zeros(2), delta=0.1)
+    def test_fields_are_the_grid_and_values(self):
+        """No times array is stored: times are t0 + k * delta, built on read."""
+        assert [f.name for f in dataclasses.fields(SignalTrace)] == ["values", "delta", "t0"]
+        assert not hasattr(SignalTrace, "from_values")
+        values = np.arange(7.0)
+        trace = SignalTrace(values, 0.3, t0=-2.5)
+        assert trace.times.tobytes() == (-2.5 + 0.3 * np.arange(7)).tobytes()
+        assert SignalTrace(values, 0.3).times.tobytes() == (0.0 + 0.3 * np.arange(7)).tobytes()
+
+    def test_constructor_checks(self):
+        with pytest.raises(ArgumentError, match="nonempty 1-D"):
+            SignalTrace(np.zeros(0), 0.1)
+        with pytest.raises(ArgumentError, match="nonempty 1-D"):
+            SignalTrace(np.zeros((2, 2)), 0.1)
+        for delta, t0 in [(0.0, 0.0), (-0.1, 0.0), (np.nan, 0.0), (np.inf, 0.0),
+                          (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf)]:
+            with pytest.raises(ArgumentError, match=f"delta must be positive and t0 finite, got delta={delta}, t0={t0}"):
+                SignalTrace(np.zeros(3), delta, t0)
+
+    def test_late_grid_is_accepted(self):
+        """Past t = 8192 the float spacing of the times exceeds 1e-12; the
+        grid is no longer re-checked, so such a trace builds."""
+        trace = SignalTrace(np.zeros(1000), 0.01, t0=1e4)
+        assert trace.times[-1] == 1e4 + 0.01 * 999
+
+    def test_building_allocates_no_values_sized_array(self):
+        """At L = 1e5 a trace builds with no array of its values' size
+        (a per-sample flag array is an eighth of it), and normalize_trace
+        with none beyond its output."""
+        values = np.random.default_rng(0).standard_normal(100_000)
+        size = values.nbytes
+        tracemalloc.start()
+        try:
+            trace = SignalTrace(values, 0.01, t0=3.0)
+            _, built = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            normed = normalize_trace(trace)
+            _, normalized = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built < size / 2
+        assert normalized < size + size / 2
+        assert (normed.delta, normed.t0) == (0.01, 3.0)
+
+    def test_uniform_spacing_enforced(self, tmp_path):
+        """Times from a file must lie on one grid; the error names the path
+        and the row."""
+        for times, row in (([0.0, 0.1, 0.25], 3), ([0.0, 0.0], 3), ([0.0, 0.2, 0.1, 0.3], 4)):
+            path = write_rows(tmp_path / "bad.csv", times)
+            with pytest.raises(ArgumentError, match=f"bad.csv' row {row}: times must be"):
+                SignalTrace.from_csv(path)
 
     def test_csv_round_trip(self, tmp_path):
-        trace = SignalTrace.from_values(np.array([0.5, -1.25, 3.0]), delta=0.25)
+        trace = SignalTrace(np.array([0.5, -1.25, 3.0]), delta=0.25)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         back = SignalTrace.from_csv(path)
@@ -230,15 +310,82 @@ class TestSignalTrace:
         np.testing.assert_array_equal(back.times, trace.times)
         assert back.delta == trace.delta
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t0=st.floats(1e-3, 1e6),
+        sign=st.sampled_from([-1.0, 1.0]),
+        delta=st.floats(1e-4, 10.0),
+        length=st.integers(2, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_csv_round_trip_property(self, tmp_path_factory, t0, sign, delta, length, seed):
+        """to_csv then from_csv gives the values bit for bit and the same
+        t0; the grid of the delta inferred from the whole span stays within
+        a few ulps of the largest |t| of the written times."""
+        trace = SignalTrace(np.random.default_rng(seed).standard_normal(length), delta, sign * t0)
+        path = tmp_path_factory.mktemp("rt") / "trace.csv"
+        trace.to_csv(path)
+        back = SignalTrace.from_csv(path)
+        assert back.values.tobytes() == trace.values.tobytes()
+        assert back.t0 == trace.t0
+        times = trace.times
+        slack = 4 * np.spacing(np.abs(times[[0, -1]]).max())
+        assert np.abs(back.times - times).max() <= slack
+
+    def test_late_csv_round_trips(self, tmp_path):
+        trace = SignalTrace(np.random.default_rng(1).standard_normal(100_000), 0.01, t0=1e4)
+        path = tmp_path / "late.csv"
+        trace.to_csv(path)
+        back = SignalTrace.from_csv(path)
+        assert back.values.tobytes() == trace.values.tobytes()
+        assert back.t0 == 1e4
+        assert np.abs(back.times - trace.times).max() <= 4 * np.spacing(trace.times[-1])
+
+    @pytest.mark.parametrize(
+        "t0, delta, jitter, row, what",
+        [
+            (1e4, 0.01, 1e-6, 7, "uniformly spaced"),  # 1e-8 vs ulps of 1.8e-12
+            (0.0, 0.01, 1e-9, 7, "uniformly spaced"),  # stays below t = 10
+            (2.0, 0.5, 0.0, 4, "strictly increasing"),  # repeats its previous time
+        ],
+        ids=["late-jitter", "early-jitter", "repeated"],
+    )
+    def test_off_grid_times_refused(self, tmp_path, t0, delta, jitter, row, what):
+        times = t0 + delta * np.arange(500)
+        times[5] += jitter * delta
+        if not jitter:
+            times[2] = times[1]
+        path = write_rows(tmp_path / "off.csv", times)
+        with pytest.raises(ArgumentError, match=f"off.csv' row {row}: times must be {what}"):
+            SignalTrace.from_csv(path)
+
+    def test_grid_slack_is_a_few_ulps(self, tmp_path):
+        """A time one ulp of the largest |t| off its grid point is read;
+        sixteen ulps off is refused."""
+        times = 1e4 + 0.01 * np.arange(500)
+        ulp = np.spacing(times[-1])
+        times[5] += ulp
+        SignalTrace.from_csv(write_rows(tmp_path / "ok.csv", times))
+        times[5] += 15 * ulp
+        with pytest.raises(ArgumentError, match="off.csv' row 7: times must be uniformly spaced"):
+            SignalTrace.from_csv(write_rows(tmp_path / "off.csv", times))
+
     def test_state_validation(self):
         with pytest.raises(ArgumentError):
             MemoryState(coeffs=np.array([np.inf, 1.0]), t=0.0)
 
-    def test_non_finite_samples_rejected(self):
+    def test_non_finite_samples_rejected(self, tmp_path):
         with pytest.raises(ArgumentError, match="values must be finite; sample 1"):
-            SignalTrace.from_values(np.array([0.0, np.nan, 1.0]), delta=0.1)
-        with pytest.raises(ArgumentError, match="times must be finite; sample 2"):
-            SignalTrace(times=np.array([0.0, 0.1, np.inf]), values=np.zeros(3), delta=0.1)
+            SignalTrace(np.array([0.0, np.nan, 1.0]), delta=0.1)
+        for bad in (np.inf, -np.inf, np.nan):
+            for i in (0, 2):
+                times = [0.0, 0.1, 0.2]
+                times[i] = bad
+                path = write_rows(tmp_path / "nonfinite.csv", times)
+                with pytest.raises(
+                    ArgumentError, match=f"nonfinite.csv' row {i + 2}: times must be finite"
+                ):
+                    SignalTrace.from_csv(path)
 
 
 class TestFohRun:
@@ -291,7 +438,7 @@ class TestRunMatchesStepFold:
             b = build_b_delta(spec, W, delta, model, QUAD)
         rng = np.random.default_rng(n)
         for length in (1, 2, 31, 32, 33, 1000):
-            trace = SignalTrace.from_values(rng.standard_normal(length), delta)
+            trace = SignalTrace(rng.standard_normal(length), delta)
             assert rel_gap(run(trace, a, b).coeffs, step_fold(trace, a, b)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -309,7 +456,7 @@ class TestRunMatchesStepFold:
         if foh:
             b = FohVectors(v_next=0.5 * b, v_prev=0.5 * b)
         rng = np.random.default_rng(seed)
-        trace = SignalTrace.from_values(rng.standard_normal(length), delta)
+        trace = SignalTrace(rng.standard_normal(length), delta)
         assert rel_gap(run(trace, a, b).coeffs, step_fold(trace, a, b)) <= 1e-12
 
 
@@ -328,9 +475,9 @@ class TestShiftInvariance:
         spec = BasisSpec(n_basis=n)
         a, b = coefficient_transition(spec, delta), build_b_delta(spec, W, delta, model, QUAD)
         u = np.random.default_rng(seed).standard_normal(length)
-        final = run(SignalTrace.from_values(u, delta), a, b)[-1]
+        final = run(SignalTrace(u, delta), a, b)[-1]
         padded = np.concatenate([np.zeros(shift), u])
-        shifted = run(SignalTrace.from_values(padded, delta), a, b)[-1]
+        shifted = run(SignalTrace(padded, delta), a, b)[-1]
         assert rel_gap(shifted.coeffs, final.coeffs) <= 1e-12
 
         offsets = np.linspace(0.0, 2.0 * final.t, 201)
@@ -342,7 +489,7 @@ class TestShiftInvariance:
 class TestTrajectoryView:
     def setup_method(self):
         self.delta, self.length = 0.01, 100
-        trace = SignalTrace.from_values(np.sin(np.arange(self.length)), self.delta)
+        trace = SignalTrace(np.sin(np.arange(self.length)), self.delta)
         self.states = run(trace, np.eye(3) * 0.9, np.array([1.0, 0.5, 0.25]))
 
     def test_length_and_shape(self):
@@ -424,7 +571,7 @@ class TestLazyTrajectory:
         if foh:
             b = FohVectors(v_next=0.5 * b, v_prev=0.5 * b)
         values = np.random.default_rng(length).standard_normal(length)
-        trace = SignalTrace.from_values(values, delta)
+        trace = SignalTrace(values, delta)
         order = np.random.default_rng(n).permutation(length + 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -449,7 +596,7 @@ class TestLazyTrajectory:
         n, length, delta = 64, 100_000, 0.01
         ref = hippo_legs_reference(n)
         a, b = matrix_exp(delta * ref.a_hippo), delta * ref.b_hippo
-        trace = SignalTrace.from_values(np.random.default_rng(0).standard_normal(length), delta)
+        trace = SignalTrace(np.random.default_rng(0).standard_normal(length), delta)
         tracemalloc.start()
         try:
             final = run(trace, a, b)[-1]
@@ -467,7 +614,7 @@ class TestLazyTrajectory:
         length = 4 * _BLOCK_CHUNKS
         lhs = np.zeros((length, 2))
         lhs[[_BLOCK_CHUNKS + 5, 2 * _BLOCK_CHUNKS + 1]] = 1e308  # blocks 1 and 2
-        states = Trajectory(lhs, np.ones((2, 1)), 1, length, 0.5)
+        states = Trajectory(lhs, np.ones((2, 1)), 1, SignalTrace(np.zeros(length), 0.5, t0=2.0))
         first = _BLOCK_CHUNKS + 6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -475,7 +622,7 @@ class TestLazyTrajectory:
             assert states[_BLOCK_CHUNKS].coeffs[0] == 0.0  # block 0 is finite
             for k in (first, 2 * _BLOCK_CHUNKS + 2, first - 1):
                 with pytest.raises(
-                    ArgumentError, match=f"coeffs must be finite: state {first} \\(t={first * 0.5!r}\\)"
+                    ArgumentError, match=f"coeffs must be finite: state {first} \\(t={2.0 + first * 0.5!r}\\)"
                 ):
                     states[k]
             with pytest.raises(ArgumentError, match=f"state {first} "):
@@ -485,7 +632,7 @@ class TestLazyTrajectory:
 class TestRunErrors:
     def test_unstable_transition_names_first_non_finite_state(self):
         a, b = 2.0 * np.eye(3), np.ones(3)
-        trace = SignalTrace.from_values(np.ones(2000), delta=0.01)
+        trace = SignalTrace(np.ones(2000), delta=0.01)
         first_bad = first_failing_step(a, b, trace)
         assert first_bad == 1024
         with pytest.raises(ArgumentError, match=f"coeffs must be finite: state {first_bad} "):
@@ -495,19 +642,19 @@ class TestRunErrors:
         """3 I first overflows mid-chunk, so naming the first non-finite chunk
         start would be wrong; run must name the state the fold fails at."""
         a, b = 3.0 * np.eye(3), np.ones(3)
-        trace = SignalTrace.from_values(np.ones(2000), delta=0.01)
+        trace = SignalTrace(np.ones(2000), delta=0.01)
         first_bad = first_failing_step(a, b, trace)
         assert first_bad is not None and first_bad % _MAX_CHUNK != 0
         with pytest.raises(ArgumentError, match=f"coeffs must be finite: state {first_bad} "):
             run(trace, a, b)
 
     def test_non_square_transition(self):
-        trace = SignalTrace.from_values(np.ones(5), delta=0.1)
+        trace = SignalTrace(np.ones(5), delta=0.1)
         with pytest.raises(ArgumentError, match="square"):
             run(trace, np.ones((3, 4)), np.ones(3))
 
     def test_input_vector_length_mismatch(self):
-        trace = SignalTrace.from_values(np.ones(5), delta=0.1)
+        trace = SignalTrace(np.ones(5), delta=0.1)
         with pytest.raises(ArgumentError, match="shape"):
             run(trace, np.eye(3), np.ones(4))
         with pytest.raises(ArgumentError, match="shape"):

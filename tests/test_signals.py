@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagssm import ArgumentError, LorenzParams, NumericError, lorenz63, normalize_trace, sine_mixture, zoh_function
+from lagssm import (
+    ArgumentError,
+    LorenzParams,
+    NumericError,
+    SignalTrace,
+    lorenz63,
+    normalize_trace,
+    sine_mixture,
+    zoh_function,
+)
 from lagssm.signals import lorenz_rhs, rk4_step
 
 
@@ -80,7 +89,7 @@ def test_rk4_order():
 
 
 def test_dt_guard():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match=r"sample spacing delta must be in \(0, MAX_LORENZ_DT=0.02\], got 0.05"):
         LorenzParams(dt=0.05)
     with pytest.raises(ArgumentError):
         LorenzParams(steps=0)
@@ -156,7 +165,7 @@ def test_trace_shape_and_timestamps():
     params = LorenzParams(steps=100, burn_in=5, dt=0.02)
     trace = lorenz63(params)
     assert trace.values.size == 100
-    assert trace.times[0] == 0.0
+    assert trace.times[0] == trace.t0 == 0.0
     assert trace.delta == 0.02
 
 
@@ -178,6 +187,12 @@ class TestSineMixture:
         with pytest.raises(ArgumentError):
             sine_mixture([1.0], [1.0, 2.0], [0.0], delta=0.1, steps=4)
 
+    def test_long_grid_builds(self):
+        """Its times pass t = 8192, where their float spacing exceeds 1e-12."""
+        trace = sine_mixture([0.5], [1.0], [0.0], 0.01, 10**6)
+        assert trace.values.size == 10**6
+        assert (trace.t0, trace.delta) == (0.0, 0.01)
+
 
 class TestZohFunction:
     def test_zero_before_start(self):
@@ -192,25 +207,23 @@ class TestZohFunction:
         assert u(5.0) == 0.0
 
     def test_interval_reads_its_sample(self):
-        from lagssm import SignalTrace
-
-        trace = SignalTrace.from_values(np.array([10.0, 20.0, 30.0, 40.0]), delta=0.5)
+        trace = SignalTrace(np.array([10.0, 20.0, 30.0, 40.0]), delta=0.5)
         u = zoh_function(trace)
         # third interval is [1.0, 1.5)
         assert u(1.2) == 30.0
 
     def test_boundaries_are_right_continuous(self):
-        from lagssm import SignalTrace
-
-        trace = SignalTrace.from_values(np.arange(1.0, 8.0), delta=0.01)
+        trace = SignalTrace(np.arange(1.0, 8.0), delta=0.01)
         u = zoh_function(trace)
         for k in range(1, 6):
             assert u(trace.times[k]) == trace.values[k]
 
-    def test_vectorized_call(self):
-        from lagssm import SignalTrace
+    def test_grid_starts_at_t0(self):
+        u = zoh_function(SignalTrace(np.array([10.0, 20.0, 30.0]), delta=0.5, t0=4.0))
+        assert [u(s) for s in (3.9, 4.0, 4.6, 5.2, 5.5)] == [0.0, 10.0, 20.0, 30.0, 0.0]
 
-        trace = SignalTrace.from_values(np.array([1.0, 2.0]), delta=1.0)
+    def test_vectorized_call(self):
+        trace = SignalTrace(np.array([1.0, 2.0]), delta=1.0)
         u = zoh_function(trace)
         np.testing.assert_array_equal(u(np.array([-0.5, 0.5, 1.5, 2.5])), [0.0, 1.0, 2.0, 0.0])
 
@@ -224,15 +237,15 @@ def test_normalize_trace():
     np.testing.assert_array_equal(zero.values, np.zeros(5))
 
 
-def test_normalize_trace_is_bit_exact_and_shares_times():
+def test_normalize_trace_is_bit_exact_on_the_same_grid():
     """The values are (v - mean) / peak bit for bit, the input's values are
-    left as they were, and the input's times array is reused, not copied."""
-    trace = lorenz63(LorenzParams(steps=300, burn_in=10))
+    left as they were, and the grid (t0, delta) is passed through."""
+    raw = lorenz63(LorenzParams(steps=300, burn_in=10))
+    trace = SignalTrace(raw.values, raw.delta, t0=7.5)
     before = trace.values.copy()
     normed = normalize_trace(trace)
     centred = trace.values - trace.values.mean()
     want = centred / np.abs(centred).max()
     assert normed.values.tobytes() == want.tobytes()
     assert trace.values.tobytes() == before.tobytes()
-    assert normed.times is trace.times
-    assert normed.delta == trace.delta
+    assert (normed.delta, normed.t0) == (trace.delta, 7.5)

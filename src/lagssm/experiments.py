@@ -335,7 +335,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
         "mse": mse,
         "n_basis": cfg.n_basis,
         "delta": cfg.delta,
-        "total_time": cfg.total_time,
+        "total_time": span,
         "signal": cfg.signal.kind,
         "normalized": cfg.signal.kind == "lorenz" and cfg.signal.normalize,
         "samples": int(trace.values.size),

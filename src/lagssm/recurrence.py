@@ -26,7 +26,7 @@ from .warp import WarpSpec
 
 _GRID_ULPS = 4
 _MAX_CHUNK = 32
-_BLOCK_CHUNKS = 64
+_BLOCK_CHUNKS = 16
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,19 @@ def step(
 class Trajectory(Sequence):
     """Read-only sequence of the L+1 states of one run, built on demand.
 
-    `run` stops at the two operands of the chunk product: row c of
-    lhs @ rhs holds the K states cK+1, ..., cK+K (see `run`).  States are
-    built in aligned blocks of _BLOCK_CHUNKS chunks, one lhs[block] @ rhs
-    product per block, and the last block read is kept, so `states[-1]`
-    costs one block and iterating costs one product per block.  `coeffs`
-    fills every state into one (L+1, N) array, block by block through the
-    same product, on first read.  A state is therefore bit-identical
-    however and in whatever order it is read; a one-row product is not
-    bit-equal to that row of a larger one, so blocks are never split.
+    Row c of [s_c | w_c] @ rhs holds the K states cK+1, ..., cK+K of
+    chunk c, from its start s_c and its inputs w_c (see `run`).  The
+    trajectory keeps rhs, a read-only (chunks, K*m) copy of the inputs and
+    a (blocks, N) table holding the first chunk start of each aligned
+    block of _BLOCK_CHUNKS chunks.  Block i is built from its table row:
+    one product for its chunks' drives, the serial a^K steps to its other
+    starts, then one product with rhs.  `run`'s first pass takes the same
+    steps with the same shapes, so a state is bit-identical however and in
+    whatever order it is read; a one-row product is not bit-equal to that
+    row of a larger one, so blocks are never split.  The last block read
+    is kept, so `states[-1]` costs one block and iterating costs one block
+    build per block.  `coeffs` fills every state into one (L+1, N) array,
+    block by block, on first read.
 
     A block that holds a non-finite state raises ArgumentError naming the
     first non-finite state of the run.  Item k is a MemoryState at
@@ -167,13 +171,21 @@ class Trajectory(Sequence):
     slice gives a list of such states.
     """
 
-    def __init__(self, lhs: np.ndarray, rhs: np.ndarray, chunk: int, trace: SignalTrace):
-        self._lhs = lhs
+    def __init__(self, inputs: np.ndarray, rhs: np.ndarray, table: np.ndarray, trace: SignalTrace):
+        self._inputs = inputs
         self._rhs = rhs
-        self._chunk = chunk
-        self._n = rhs.shape[1] // chunk
+        self._table = table
+        self._n = table.shape[1]
+        self._chunk = rhs.shape[1] // self._n
         self._steps, self._t0, self._delta = trace.values.size, trace.t0, trace.delta
-        self._blocks = -(-lhs.shape[0] // _BLOCK_CHUNKS)
+        self._blocks = table.shape[0]
+        # rhs's last column block carries a chunk's start to the next one's:
+        # (a^K)^T on top, in Fortran order (a^K's own layout, so dot(prev,
+        # a_k) runs as the mat-vec a^K prev), and below it the map from w_c
+        # to chunk c's drive, copied contiguous for a faster product.
+        last = rhs[:, (self._chunk - 1) * self._n :]
+        self._a_k = np.asfortranarray(last[: self._n])
+        self._drive = np.ascontiguousarray(last[self._n :])
         self._cached = (None, None)
         self._coeffs = None
 
@@ -216,17 +228,32 @@ class Trajectory(Sequence):
     def _first_state(self, i: int) -> int:
         return 1 + i * _BLOCK_CHUNKS * self._chunk
 
-    def _product(self, i: int) -> np.ndarray:
+    def _starts(self, i: int) -> np.ndarray:
+        """Starts s_c of block i's chunks, carried from table row i by
+        s_{c+1} = a^K s_c + (chunk c's drive), and one more row: the start
+        of block i+1.  Unchecked; the caller silences overflow."""
+        w = self._inputs[i * _BLOCK_CHUNKS : (i + 1) * _BLOCK_CHUNKS]
+        starts = np.empty((len(w) + 1, self._n))
+        starts[0] = self._table[i]
+        # np.dot makes the same BLAS calls as @ with less overhead per call.
+        np.dot(w, self._drive, out=starts[1:])
+        for prev, start in zip(starts, starts[1:]):
+            np.add(start, np.dot(prev, self._a_k), out=start)
+        return starts
+
+    def _product(self, i: int, starts: np.ndarray | None = None) -> np.ndarray:
         """States of block i as rows, past state L dropped; unchecked."""
-        g = _BLOCK_CHUNKS
         # An unstable a overflows; the caller reports the first bad state.
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = (self._lhs[i * g : (i + 1) * g] @ self._rhs).reshape(-1, self._n)
+            starts = self._starts(i) if starts is None else starts
+            w = self._inputs[i * _BLOCK_CHUNKS : (i + 1) * _BLOCK_CHUNKS]
+            rows = (np.concatenate((starts[:-1], w), axis=1) @ self._rhs).reshape(-1, self._n)
         return rows[: len(self) - self._first_state(i)]
 
-    def _block(self, i: int) -> np.ndarray:
+    def _block(self, i: int, starts: np.ndarray | None = None) -> np.ndarray:
+        """States of block i, checked; starts are block i's `_starts` if at hand."""
         if self._cached[0] != i:
-            rows = self._product(i)
+            rows = self._product(i, starts)
             if not np.isfinite(rows).all():
                 self._raise_first_non_finite(i)
             self._cached = (i, rows)
@@ -252,26 +279,31 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     state after consuming it sits at t0 + (k+1) delta.  Times are t0 plus
     step-count multiples of delta rather than a running float sum.  Returns the initial state
     followed by one state per sample, as a Trajectory that builds them on
-    demand: `run(...)[-1]` costs the chunk-start pass plus one block.
+    demand: `run(...)[-1]` costs the block-start pass plus one block.
 
     Equivalent to folding `step` over the trace (the reference path), up to
     rounding: the states are summed in chunks, not one step at a time.
     With x_{k+1} = a x_k + b w_k (b is (N, m), w is (L, m)), the steps are
     cut into chunks of K; chunk c starts from s_c = x_{cK}, and inside it
         x_{cK+j+1} = a^{j+1} s_c + sum_{i<=j} a^{j-i} b w_{cK+i}.
-    The chunk starts come from a serial recurrence with a^K (L/K mat-vecs);
-    then [s_c | w_{cK..cK+K-1}] @ [a^{j+1}^T ; Toeplitz(a^{j-i} b)^T] gives
-    chunk c's states, a product the Trajectory forms block by block.
+    With rhs = [a^{j+1}^T ; Toeplitz(a^{j-i} b)^T] (column block j gives
+    state cK+j+1), [s_c | w_{cK..cK+K-1}] @ rhs gives chunk c's states, a
+    product the Trajectory forms block by block.  The chunk starts come
+    from a serial recurrence with a^K (L/K mat-vecs), s_{c+1} = a^K s_c +
+    d_c, where chunk c's drive d_c (its inputs' share of state cK+K) is its
+    inputs times the Toeplitz part of rhs's last column block.
     K = clamp(L // N, 1, 32) keeps the powers and the operands no larger
     than the trajectory itself.  A non-finite chunk start or final state
     raises ArgumentError naming the first non-finite state.
 
-    The working set is the two operands and nothing the size of either:
-    the samples are written straight into lhs, chunk c's drive (its inputs
-    times rhs's last column block) is written straight into row c+1's start,
-    where the serial pass adds a^K s_c in place, and rhs is filled from one
-    rolling power a^{j+1} (with a (K, N, m) kernel), not a stack of all K+1
-    powers.
+    The working set is rhs, one read-only copy of the chunked inputs (FOH's
+    delayed column included) and a (blocks, N) table of block starts, plus
+    one block of _BLOCK_CHUNKS chunks per read; no array holds every chunk
+    start.  The first pass walks the blocks: one drive product into a
+    block-sized scratch, the serial a^K steps on its rows, and the next
+    block's start written into the table, which is then checked once.  rhs
+    is filled from one rolling power a^{j+1} (with a (K, N, m) kernel), not
+    a stack of all K+1 powers.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -295,41 +327,44 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
         # Column block j of rhs yields state cK+j+1 of chunk c: (a^{j+1})^T
         # on top, from one rolling power, and the Toeplitz kernel below.
         rhs = np.zeros((n + k * m, k * n))
+        toeplitz = rhs[n:].reshape(k, m, k, n)
         kernel = np.empty((k, n, m))
         power = np.eye(n)
         for j in range(k):
             np.matmul(power, b, out=kernel[j])
+            toeplitz[: j + 1, :, j, :] = kernel[j::-1].transpose(0, 2, 1)
             power = a @ power
             rhs[:n, j * n : (j + 1) * n] = power.T
-        toeplitz = rhs[n:].reshape(k, m, k, n)
-        i, j = np.triu_indices(k)
-        toeplitz[i, :, j, :] = kernel[j - i].transpose(0, 2, 1)
 
-        # Row c of lhs is [s_c | w_{cK..cK+K-1}], zero past the last sample.
-        # One spare row lets the drive product cover all `chunks` rows (the
-        # last drive is unused): BLAS's rounding depends on the row count,
-        # and this fixes it at one row per chunk.
-        lhs = np.zeros((chunks + 1, n + k * m))
-        inputs = lhs[:, n:].reshape(chunks + 1, k, m)
-        full, rest = divmod(steps, k)
-        inputs[:full, :, 0] = u[: full * k].reshape(full, k)
-        inputs[full, :rest, 0] = u[full * k :]
-        if foh:  # the second column is u delayed by one sample, 0 first
-            inputs[:, 1:, 1] = inputs[:, :-1, 0]
-            inputs[1:, 0, 1] = inputs[:-1, -1, 0]
-            inputs[full, rest:, 1] = 0.0
-        np.matmul(lhs[:-1, n:], rhs[n:, (k - 1) * n :], out=lhs[1:, :n])
-        a_k = power.T
-        starts = lhs[:chunks, :n]
-        for prev, start in zip(starts, starts[1:]):
-            np.add(start, prev @ a_k, out=start)
-        lhs = lhs[:-1]
+    # Row c of inputs is w_{cK..cK+K-1}, zero past the last sample; the
+    # spare row takes the FOH delay of a last sample that ends a chunk.
+    inputs = np.zeros((chunks + 1, k, m))
+    full, rest = divmod(steps, k)
+    inputs[:full, :, 0] = u[: full * k].reshape(full, k)
+    inputs[full, :rest, 0] = u[full * k :]
+    if foh:  # the second column is u delayed by one sample, 0 first
+        inputs[:, 1:, 1] = inputs[:, :-1, 0]
+        inputs[1:, 0, 1] = inputs[:-1, -1, 0]
+        inputs[full, rest:, 1] = 0.0
+    inputs = inputs[:chunks].reshape(chunks, k * m)
+    inputs.flags.writeable = False
 
-    states = Trajectory(lhs, rhs, k, trace)
-    last = states._blocks - 1
-    if not np.isfinite(lhs[:, :n]).all():
-        states._raise_first_non_finite(last)
-    states._block(last)  # holds the final state: checked, and kept for states[-1]
+    table = np.zeros((-(-chunks // _BLOCK_CHUNKS), n))
+    states = Trajectory(inputs, rhs, table, trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(table)):
+            starts = states._starts(i)
+            if i + 1 < len(table):
+                table[i + 1] = starts[-1]
+    table.flags.writeable = False
+    # A non-finite start makes every later one non-finite (inf and nan
+    # carry through the mat-vec), so checking the table checks the starts
+    # of all blocks but the last: the first bad row r means block r holds
+    # a non-finite state.  The last block is checked as it is built.
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        states._raise_first_non_finite(int(np.argmin(finite)))
+    states._block(len(table) - 1, starts)  # holds the final state: checked, and kept for states[-1]
     return states
 
 

@@ -211,6 +211,18 @@ class TestReconstruct:
         )
         assert code == 0
 
+    def test_csv_signal_total_time_is_its_span(self, tmp_path):
+        """summary.json's total_time is the trace's span L * delta: 3.0 for
+        a 300-sample file at delta = 0.01, not the config's 10.0; the
+        default Lorenz point still reads 10.0."""
+        path = tmp_path / "sig.csv"
+        SignalTrace(np.sin(0.01 * np.arange(300)), delta=0.01).to_csv(path)
+        assert main(["reconstruct", "--out", str(tmp_path / "csv"), "--signal", f"csv:{path}"]) == 0
+        assert main(["reconstruct", "--out", str(tmp_path / "lorenz")]) == 0
+        for out, total in (("csv", 3.0), ("lorenz", 10.0)):
+            summary = json.loads((tmp_path / out / "summary.json").read_text())
+            assert summary["total_time"] == total
+
     def test_csv_signal_from_t0(self, tmp_path):
         """A file whose times start at t0 = 5 gives the t0 = 0 file's
         recon.csv, with s running over the file's own span [5, 8]."""

@@ -589,11 +589,10 @@ class TestLazyTrajectory:
             assert after[k].tobytes() == row
             assert iterated[k].tobytes() == row
 
-    def test_final_state_builds_one_block_not_the_trajectory(self):
-        """run(...)[-1] at L=1e5, N=64 peaks below an eighth of the
-        (L+1) x N float64 trajectory (51.2 MB): the two chunk operands and
-        one block, with no copy of the inputs, drives or powers."""
-        n, length, delta = 64, 100_000, 0.01
+    @staticmethod
+    def final_state_peak(length):
+        """Traced peak of run(...)[-1] at N=64 over `length` samples."""
+        n, delta = 64, 0.01
         ref = hippo_legs_reference(n)
         a, b = matrix_exp(delta * ref.a_hippo), delta * ref.b_hippo
         trace = SignalTrace(np.random.default_rng(0).standard_normal(length), delta)
@@ -604,23 +603,57 @@ class TestLazyTrajectory:
         finally:
             tracemalloc.stop()
         assert final.t == length * delta
-        assert peak < (length + 1) * n * 8 / 8
+        return peak
+
+    def test_final_state_builds_one_block_not_the_trajectory(self):
+        """run(...)[-1] at L=1e5, N=64 holds rhs (1.6 MB), one copy of the
+        inputs (0.8 MB), the (blocks, N) table of block starts and one
+        block: at most 3 MB traced, against 51.2 MB for the (L+1) x N
+        trajectory, with no array of every chunk start."""
+        assert self.final_state_peak(100_000) <= 3e6
+
+    def test_final_state_peak_at_a_million_samples(self):
+        """At L=1e6 the input copy (8 MB) dominates: at most 12 MB traced,
+        against 512 MB for the trajectory."""
+        assert self.final_state_peak(1_000_000) <= 12e6
+
+    @pytest.mark.parametrize("foh", [False, True], ids=["zoh", "foh"])
+    def test_trajectory_owns_its_inputs(self, foh):
+        """Overwriting trace.values after run changes no later read, in
+        the first block or the last: the trajectory keeps its own copy."""
+        delta, n = 0.01, 8
+        ref = hippo_legs_reference(n)
+        a, b = matrix_exp(delta * ref.a_hippo), delta * ref.b_hippo
+        if foh:
+            b = FohVectors(v_next=0.5 * b, v_prev=0.5 * b)
+        values = np.random.default_rng(3).standard_normal(3 * self.BLOCK + 5)
+        want = run(SignalTrace(values.copy(), delta), a, b).coeffs
+        trace = SignalTrace(values, delta)
+        states = run(trace, a, b)
+        trace.values[:] = 1e3
+        assert states[1].coeffs.tobytes() == want[1].tobytes()
+        assert states[-1].coeffs.tobytes() == want[-1].tobytes()
+        assert states.coeffs.tobytes() == want.tobytes()
 
     def test_later_block_read_names_first_non_finite_state(self):
         """Reading any state of a block that holds an overflow raises,
         naming the first non-finite state of the run, even when that lies in
-        an earlier block.  Built by hand (x_{k+1} = x_k + w_k, K = 1, chunk
-        starts given) so that only blocks read later overflow."""
-        length = 4 * _BLOCK_CHUNKS
-        lhs = np.zeros((length, 2))
-        lhs[[_BLOCK_CHUNKS + 5, 2 * _BLOCK_CHUNKS + 1]] = 1e308  # blocks 1 and 2
-        states = Trajectory(lhs, np.ones((2, 1)), 1, SignalTrace(np.zeros(length), 0.5, t0=2.0))
-        first = _BLOCK_CHUNKS + 6
+        an earlier block.  Built by hand (x_{k+1} = x_k + w_k, K = 1, block
+        starts given) so that only blocks read later overflow.  With g =
+        _BLOCK_CHUNKS chunks a block, two inputs of 1e308 in block 1 first
+        overflow state g + 6, and in block 2 a start of 1e308 and one such
+        input overflow state 2g + 2."""
+        g = _BLOCK_CHUNKS
+        inputs, table = np.zeros((4 * g, 1)), np.zeros((4, 1))
+        inputs[[g + 4, g + 5, 2 * g + 1]] = 1e308
+        table[2] = 1e308
+        states = Trajectory(inputs, np.ones((2, 1)), table, SignalTrace(np.zeros(4 * g), 0.5, t0=2.0))
+        first = g + 6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert states[-1].coeffs[0] == 0.0
-            assert states[_BLOCK_CHUNKS].coeffs[0] == 0.0  # block 0 is finite
-            for k in (first, 2 * _BLOCK_CHUNKS + 2, first - 1):
+            assert states[g].coeffs[0] == 0.0  # block 0 is finite
+            for k in (first, 2 * g + 2, first - 1):
                 with pytest.raises(
                     ArgumentError, match=f"coeffs must be finite: state {first} \\(t={2.0 + first * 0.5!r}\\)"
                 ):

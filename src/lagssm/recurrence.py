@@ -241,19 +241,19 @@ class Trajectory(Sequence):
             np.add(start, np.dot(prev, self._a_k), out=start)
         return starts
 
-    def _product(self, i: int, starts: np.ndarray | None = None) -> np.ndarray:
+    def _product(self, i: int) -> np.ndarray:
         """States of block i as rows, past state L dropped; unchecked."""
         # An unstable a overflows; the caller reports the first bad state.
         with np.errstate(over="ignore", invalid="ignore"):
-            starts = self._starts(i) if starts is None else starts
+            starts = self._starts(i)
             w = self._inputs[i * _BLOCK_CHUNKS : (i + 1) * _BLOCK_CHUNKS]
             rows = (np.concatenate((starts[:-1], w), axis=1) @ self._rhs).reshape(-1, self._n)
         return rows[: len(self) - self._first_state(i)]
 
-    def _block(self, i: int, starts: np.ndarray | None = None) -> np.ndarray:
-        """States of block i, checked; starts are block i's `_starts` if at hand."""
+    def _block(self, i: int) -> np.ndarray:
+        """States of block i, checked."""
         if self._cached[0] != i:
-            rows = self._product(i, starts)
+            rows = self._product(i)
             if not np.isfinite(rows).all():
                 self._raise_first_non_finite(i)
             self._cached = (i, rows)
@@ -299,11 +299,12 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     The working set is rhs, one read-only copy of the chunked inputs (FOH's
     delayed column included) and a (blocks, N) table of block starts, plus
     one block of _BLOCK_CHUNKS chunks per read; no array holds every chunk
-    start.  The first pass walks the blocks: one drive product into a
-    block-sized scratch, the serial a^K steps on its rows, and the next
-    block's start written into the table, which is then checked once.  rhs
-    is filled from one rolling power a^{j+1} (with a (K, N, m) kernel), not
-    a stack of all K+1 powers.
+    start.  The first pass walks every block but the last: one drive
+    product into a block-sized scratch, the serial a^K steps on its rows,
+    and the next block's start written into the table, which is then
+    checked once.  The last block, which holds the final state, is then
+    built and checked like any read.  rhs is filled from one rolling power
+    a^{j+1} (with a (K, N, m) kernel), not a stack of all K+1 powers.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -352,10 +353,8 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     table = np.zeros((-(-chunks // _BLOCK_CHUNKS), n))
     states = Trajectory(inputs, rhs, table, trace)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(table)):
-            starts = states._starts(i)
-            if i + 1 < len(table):
-                table[i + 1] = starts[-1]
+        for i in range(len(table) - 1):
+            table[i + 1] = states._starts(i)[-1]
     table.flags.writeable = False
     # A non-finite start makes every later one non-finite (inf and nan
     # carry through the mat-vec), so checking the table checks the starts
@@ -364,7 +363,7 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         states._raise_first_non_finite(int(np.argmin(finite)))
-    states._block(len(table) - 1, starts)  # holds the final state: checked, and kept for states[-1]
+    states._block(len(table) - 1)  # holds the final state: checked, and kept for states[-1]
     return states
 
 

@@ -214,12 +214,15 @@ class TestReconstruct:
     def test_csv_signal_total_time_is_its_span(self, tmp_path):
         """summary.json's total_time is the trace's span L * delta: 3.0 for
         a 300-sample file at delta = 0.01, not the config's 10.0; the
-        default Lorenz point still reads 10.0."""
+        default Lorenz point still reads 10.0, and a generated signal of
+        round(1 / 0.003) = 333 samples reads 333 * 0.003 = 0.999."""
         path = tmp_path / "sig.csv"
         SignalTrace(np.sin(0.01 * np.arange(300)), delta=0.01).to_csv(path)
         assert main(["reconstruct", "--out", str(tmp_path / "csv"), "--signal", f"csv:{path}"]) == 0
         assert main(["reconstruct", "--out", str(tmp_path / "lorenz")]) == 0
-        for out, total in (("csv", 3.0), ("lorenz", 10.0)):
+        sine = ["--signal", "sine", "--n", "8", "--total-time", "1", "--delta", "0.003"]
+        assert main(["reconstruct", "--out", str(tmp_path / "sine"), *sine]) == 0
+        for out, total in (("csv", 3.0), ("lorenz", 10.0), ("sine", 0.999)):
             summary = json.loads((tmp_path / out / "summary.json").read_text())
             assert summary["total_time"] == total
 

@@ -552,7 +552,7 @@ class TestLazyTrajectory:
             (8, BLOCK + _MAX_CHUNK, False),
             (8, 2 * BLOCK + 5, False),
             (8, 5, False),
-            (64, _BLOCK_CHUNKS + 36, False),
+            (64, _BLOCK_CHUNKS + 5, False),
             (8, BLOCK + _MAX_CHUNK, True),
         ],
         ids=[

@@ -8,13 +8,7 @@ ships the harness that checks this numerically.
 """
 
 from .basis import BasisSpec, boundary_values
-from .errors import (
-    ArgumentError,
-    DomainError,
-    EvaluationError,
-    LagssmError,
-    NumericError,
-)
+from .errors import ArgumentError, LagssmError, NumericError
 from .experiments import ExperimentConfig, SignalConfig
 from .matrices import (
     FohVectors,
@@ -48,8 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentError",
     "BasisSpec",
-    "DomainError",
-    "EvaluationError",
     "ExperimentConfig",
     "FohVectors",
     "HippoReference",

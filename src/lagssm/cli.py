@@ -7,7 +7,7 @@ import functools
 import sys
 
 from ._schema import read_json
-from .errors import LagssmError
+from .errors import ArgumentError, LagssmError
 from .experiments import (
     ExperimentConfig,
     cmd_lagshift,
@@ -41,7 +41,7 @@ def _signal_keys(value: str) -> dict:
         return {"kind": value, "csv_path": None}
     if value.startswith("csv:"):
         return {"kind": "csv", "csv_path": value[len("csv:"):]}
-    raise LagssmError(f"unknown signal {value!r}")
+    raise ArgumentError(f"unknown signal {value!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

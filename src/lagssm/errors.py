@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input of any kind (out of range, malformed, non-finite, or outside an
+operation's domain) is an ArgumentError; arithmetic that broke on valid
+input is a NumericError.  Both are LagssmErrors, which the CLI reports.
+"""
 
 
 class LagssmError(Exception):
@@ -6,22 +11,7 @@ class LagssmError(Exception):
 
 
 class ArgumentError(LagssmError, ValueError):
-    """An argument is out of range, malformed, or inconsistent."""
-
-
-class DomainError(LagssmError, ValueError):
-    """A point lies outside the mathematical domain of an operation."""
-
-
-class EvaluationError(LagssmError, RuntimeError):
-    """An integrand or signal produced a non-finite value.
-
-    Carries the offending abscissa so quadrature failures are debuggable.
-    """
-
-    def __init__(self, message, abscissa=None):
-        super().__init__(message)
-        self.abscissa = abscissa
+    """An argument is out of range, malformed, non-finite, or inconsistent."""
 
 
 class NumericError(LagssmError, ArithmeticError):

@@ -66,8 +66,7 @@ TABLE_DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)  # table1 and table3
 TABLE2_SIZES = (10, 30, 50)
 
 # Tolerance bands the commands assert on their own output.
-TABLE1_TOL_SMALL = 1e-7     # deltas up to 1e-2
-TABLE1_TOL_LARGE = 1e-3     # delta = 1e-1
+TABLE1_TOL = 1e-7           # every delta
 TABLE2_TOL = 1e-10
 RECONSTRUCT_MSE_TOL = 1e-5
 LAGSHIFT_GRID_POINTS = 500
@@ -237,12 +236,11 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     for d, a_d, exp_d in zip(TABLE_DELTAS, a_deltas, exps):
         diff = frobenius_rel_diff(a_d, exp_d)
         rows1.append([d, diff])
-        tol = TABLE1_TOL_SMALL if d <= 1e-2 else TABLE1_TOL_LARGE
         checks.append(
             Check(
                 name=f"table1 delta={d:g}",
-                ok=diff <= tol,
-                detail=f"diff={diff:.3e} (tol {tol:g})",
+                ok=diff <= TABLE1_TOL,
+                detail=f"diff={diff:.3e} (tol {TABLE1_TOL:g})",
             )
         )
     _write_table(os.path.join(cfg.output_dir, "table1.csv"), ["delta", "diff"], rows1)
@@ -274,8 +272,8 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
         checks.append(
             Check(
                 name=f"table3 delta={d:g}",
-                ok=diff_exact <= TABLE1_TOL_SMALL,
-                detail=f"diff_exact_exp={diff_exact:.3e} (tol {TABLE1_TOL_SMALL:g})",
+                ok=diff_exact <= TABLE1_TOL,
+                detail=f"diff_exact_exp={diff_exact:.3e} (tol {TABLE1_TOL:g})",
             )
         )
     diffs3 = [row[1] for row in rows3]
@@ -398,8 +396,8 @@ def cmd_lagshift(
         checks.append(
             Check(
                 name=f"lagshift n={n_show} backward vs exact shift",
-                ok=err <= TABLE1_TOL_SMALL,
-                detail=f"row err={err:.3e} (tol {TABLE1_TOL_SMALL:g})",
+                ok=err <= TABLE1_TOL,
+                detail=f"row err={err:.3e} (tol {TABLE1_TOL:g})",
             )
         )
     return checks

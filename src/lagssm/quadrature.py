@@ -13,7 +13,7 @@ import numpy as np
 
 from ._schema import check_fields
 from .basis import _legendre_stack
-from .errors import ArgumentError, EvaluationError
+from .errors import ArgumentError
 
 MIN_POINTS, MAX_POINTS = 2, 128
 MIN_PANELS, MAX_PANELS = 1, 1024
@@ -99,7 +99,7 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig = QuadratureConfig()
     """Composite Gauss-Legendre estimate of the integral of fn over [a, b].
 
     Exact (to rounding) for polynomials of degree <= 2 * points_per_panel - 1.
-    Raises EvaluationError, carrying the abscissa, if fn returns a
+    Raises ArgumentError naming the first abscissa where fn returns a
     non-finite value; panel_nodes rejects a > b.
     """
     if a == b:
@@ -112,7 +112,7 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig = QuadratureConfig()
         vals = np.array([fn(z) for z in nodes[sl]], dtype=float)
         if not np.all(np.isfinite(vals)):
             bad = nodes[sl][~np.isfinite(vals)][0]
-            raise EvaluationError(f"integrand non-finite at z={bad!r}", abscissa=bad)
+            raise ArgumentError(f"integrand non-finite at z={float(bad)!r}")
         total += float(np.dot(weights[sl], vals))
     return total
 

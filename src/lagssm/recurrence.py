@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, phi_matrix
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError
 from .matrices import FohVectors
 from .quadrature import QuadratureConfig, panel_nodes
 from .warp import WarpSpec
@@ -59,7 +59,7 @@ class SignalTrace:
             raise ArgumentError(f"values must be a nonempty 1-D array, got shape {v.shape}")
         if not np.isfinite(v).all():
             i = int(np.argmin(np.isfinite(v)))
-            raise ArgumentError(f"values must be finite; sample {i} is {v[i]!r}")
+            raise ArgumentError(f"values must be finite; sample {i} is {float(v[i])!r}")
         if not (0.0 < self.delta < math.inf and math.isfinite(self.t0)):
             raise ArgumentError(
                 f"delta must be positive and t0 finite, got delta={self.delta}, t0={self.t0}"
@@ -118,7 +118,8 @@ class SignalTrace:
         if not ok.all():
             i = int(np.argmin(ok))
             raise ArgumentError(
-                f"signal file {str(path)!r} row {rows[i][0]}: times must be {what}, got {times[i]!r}"
+                f"signal file {str(path)!r} row {rows[i][0]}: "
+                f"times must be {what}, got {float(times[i])!r}"
             )
         return trace
 
@@ -166,9 +167,10 @@ class Trajectory(Sequence):
     block by block, on first read.
 
     A block that holds a non-finite state raises ArgumentError naming the
-    first non-finite state of the run.  Item k is a MemoryState at
-    t = t0 + k * delta on the trace's grid, holding a copy of row k; a
-    slice gives a list of such states.
+    first non-finite state of the run; `run` makes this one check on the
+    last block.  Item k is a MemoryState at t = t0 + k * delta on the
+    trace's grid, holding a copy of row k; a slice gives a list of such
+    states.
     """
 
     def __init__(self, inputs: np.ndarray, rhs: np.ndarray, table: np.ndarray, trace: SignalTrace):
@@ -293,18 +295,21 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     d_c, where chunk c's drive d_c (its inputs' share of state cK+K) is its
     inputs times the Toeplitz part of rhs's last column block.
     K = clamp(L // N, 1, 32) keeps the powers and the operands no larger
-    than the trajectory itself.  A non-finite chunk start or final state
-    raises ArgumentError naming the first non-finite state.
+    than the trajectory itself.  A non-finite final state, which any
+    non-finite chunk start makes, raises ArgumentError naming the first
+    non-finite state.
 
     The working set is rhs, one read-only copy of the chunked inputs (FOH's
     delayed column included) and a (blocks, N) table of block starts, plus
     one block of _BLOCK_CHUNKS chunks per read; no array holds every chunk
-    start.  The first pass walks every block but the last: one drive
-    product into a block-sized scratch, the serial a^K steps on its rows,
-    and the next block's start written into the table, which is then
-    checked once.  The last block, which holds the final state, is then
-    built and checked like any read.  rhs is filled from one rolling power
-    a^{j+1} (with a (K, N, m) kernel), not a stack of all K+1 powers.
+    start.  The inputs are one zero-padded (chunks*K, m) array viewed as
+    (chunks, K*m).  The first pass walks every block but the last: one
+    drive product into a block-sized scratch, the serial a^K steps on its
+    rows, and the next block's start written into the table.  The last
+    block, which holds the final state, is then built and checked like any
+    read; that is run's one finiteness check.  rhs is filled from one
+    rolling power a^{j+1} (with a (K, N, m) kernel), not a stack of all
+    K+1 powers.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -337,17 +342,12 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
             power = a @ power
             rhs[:n, j * n : (j + 1) * n] = power.T
 
-    # Row c of inputs is w_{cK..cK+K-1}, zero past the last sample; the
-    # spare row takes the FOH delay of a last sample that ends a chunk.
-    inputs = np.zeros((chunks + 1, k, m))
-    full, rest = divmod(steps, k)
-    inputs[:full, :, 0] = u[: full * k].reshape(full, k)
-    inputs[full, :rest, 0] = u[full * k :]
+    # Row c of inputs is w_{cK..cK+K-1}, zero past the last sample.
+    inputs = np.zeros((chunks * k, m))
+    inputs[:steps, 0] = u
     if foh:  # the second column is u delayed by one sample, 0 first
-        inputs[:, 1:, 1] = inputs[:, :-1, 0]
-        inputs[1:, 0, 1] = inputs[:-1, -1, 0]
-        inputs[full, rest:, 1] = 0.0
-    inputs = inputs[:chunks].reshape(chunks, k * m)
+        inputs[1:steps, 1] = u[:-1]
+    inputs = inputs.reshape(chunks, k * m)
     inputs.flags.writeable = False
 
     table = np.zeros((-(-chunks // _BLOCK_CHUNKS), n))
@@ -357,23 +357,21 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
             table[i + 1] = states._starts(i)[-1]
     table.flags.writeable = False
     # A non-finite start makes every later one non-finite (inf and nan
-    # carry through the mat-vec), so checking the table checks the starts
-    # of all blocks but the last: the first bad row r means block r holds
-    # a non-finite state.  The last block is checked as it is built.
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        states._raise_first_non_finite(int(np.argmin(finite)))
-    states._block(len(table) - 1)  # holds the final state: checked, and kept for states[-1]
+    # carry through the mat-vec), so the last block, which holds the final
+    # state, holds a non-finite state whenever a block start does; _block
+    # checks it and names the first bad state, searching from block 0.
+    states._block(len(table) - 1)  # checked, and kept for states[-1]
     return states
 
 
 def reconstruct(
     state: MemoryState, basis: BasisSpec, warp: WarpSpec, s_grid
 ) -> np.ndarray:
-    """Evaluate sum_n c_n phi_n(sigma_t(s)) on the grid of history times."""
+    """Evaluate sum_n c_n phi_n(sigma_t(s)) on the grid of history times;
+    a grid point after state.t raises ArgumentError."""
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
     if np.any(s > state.t):
-        raise DomainError(f"grid points must not exceed t={state.t}")
+        raise ArgumentError(f"grid points must not exceed t={state.t}")
     return state.coeffs @ phi_matrix(basis, warp.f(s - state.t))
 
 
@@ -386,12 +384,13 @@ def project_direct(
 ) -> MemoryState:
     """Offline oracle: measure-weighted projection of the history onto the
     warped basis, computed as c_n = integral of phi_n(z) u(sigma_t^{-1}(z))
-    over the canonical interval."""
+    over the canonical interval.  A non-finite signal value raises
+    ArgumentError naming the first history time s where it occurs."""
     z, w = panel_nodes(0.0, 1.0, quad)
     s = t + warp.g(z)
     vals = np.asarray([u(si) for si in s], dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = s[~np.isfinite(vals)][0]
-        raise DomainError(f"signal non-finite at s={bad!r}")
+        raise ArgumentError(f"signal non-finite at s={float(bad)!r}")
     coeffs = phi_matrix(basis, z) @ (w * vals)
     return MemoryState(coeffs=coeffs, t=t)

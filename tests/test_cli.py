@@ -76,6 +76,14 @@ class TestTables:
         assert all(a < b for a, b in zip(diffs, diffs[1:]))
         assert 2e-5 <= diffs[0] <= 2e-4
 
+    def test_table1_checks_every_delta_at_one_tolerance(self, tmp_path, capsys):
+        """table1 is exact against exact, so every delta, 0.1 included, is
+        checked at 1e-7."""
+        assert main(["tables", "--out", str(tmp_path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if " table1 " in line]
+        assert len(lines) == len(TABLE_DELTAS)
+        assert all(line.startswith("PASS ") and line.endswith("(tol 1e-07)") for line in lines)
+
     def test_reruns_are_byte_identical(self, tables_dir, tmp_path):
         assert main(["tables", "--out", str(tmp_path)]) == 0
         for name in ("table1.csv", "table2.csv", "table3.csv"):
@@ -302,6 +310,12 @@ class TestLagshift:
         code = main(["lagshift", "--out", str(tmp_path), "--n-show", "64"])
         assert code == 2
 
+    def test_unknown_direction_refused(self, tmp_path):
+        cfg = ExperimentConfig(n_basis=4, output_dir=str(tmp_path / "out"))
+        with pytest.raises(ArgumentError, match="direction must be forward or backward, got 'up'"):
+            cmd_lagshift(cfg, direction="up")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flags, code, verdict",
         [
@@ -389,6 +403,17 @@ class TestMatricesCommand:
             "b_delta_foh_v_prev", "b_delta_zoh", "b_gen", "b_hippo",
         ]
 
+    def test_other_schema_version_refused(self, tmp_path):
+        from lagssm.matrices import load_matrices_json
+
+        assert main(["matrices", "--out", str(tmp_path), "--n", "2"]) == 0
+        path = tmp_path / "matrices.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["schema_version"] = 99
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArgumentError, match="unsupported schema version 99"):
+            load_matrices_json(path)
+
     def test_file_has_json_dump_layout(self, tmp_path):
         """The streamed file is laid out as json.dump(..., indent=1) would."""
         assert main(["matrices", "--out", str(tmp_path), "--n", "5"]) == 0
@@ -410,12 +435,33 @@ class TestRefusedCommands:
          (["matrices", "--n", "256", "--delta", "0.5", "--tau", "0.01"], "(delta/tau=50)"),
          # --delta is the Lorenz signal's sample spacing; the error says so.
          (["reconstruct", "--delta", "0.05"],
-          "sample spacing delta must be in (0, MAX_LORENZ_DT=0.02], got 0.05")],
+          "sample spacing delta must be in (0, MAX_LORENZ_DT=0.02], got 0.05"),
+         (["reconstruct", "--delta", "0"], "signal generation needs a positive delta"),
+         (["reconstruct", "--signal", "bogus"], "unknown signal 'bogus'")],
     )
     def test_refused_input_makes_no_directory(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [("t,u\n0.0,1.0\n0.01,nan\n0.02,3.0\n", "values must be finite; sample 1 is nan"),
+         ("t,u\n0.0,1.0\n0.01,2.0\n0.05,3.0\n",
+          "row 3: times must be uniformly spaced by 0.025, got 0.01")],
+        ids=["nan-value", "uneven-times"],
+    )
+    def test_csv_error_prints_plain_floats(self, tmp_path, capsys, content, line):
+        """Floats in the message are plain literals, not numpy's
+        np.float64(...) repr."""
+        path = tmp_path / "sig.csv"
+        path.write_text(content)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--signal", f"csv:{path}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(line)
+        assert "np.float64" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

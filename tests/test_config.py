@@ -167,6 +167,30 @@ def test_newly_checked_value_is_an_error(tmp_path, monkeypatch, capsys, raw, nam
 
 
 @pytest.mark.parametrize(
+    "build, flags, named",
+    [
+        (lambda: SignalConfig(burn_in=-1), ["--burn-in=-1"],
+         "signal burn_in must be a nonnegative integer, got -1"),
+        (lambda: ExperimentConfig(delta=-0.1), ["--delta=-0.1"],
+         "delta must be nonnegative and total_time positive"),
+        (lambda: ExperimentConfig(total_time=0.0), ["--total-time", "0"],
+         "delta must be nonnegative and total_time positive"),
+    ],
+    ids=["negative-burn-in", "negative-delta", "zero-total-time"],
+)
+def test_out_of_range_value_is_an_error(tmp_path, capsys, build, flags, named):
+    """A value of the right kind but out of range is an ArgumentError when
+    built directly, and exit 2 with nothing written through the CLI."""
+    with pytest.raises(ArgumentError, match=re.escape(named)):
+        build()
+    out = tmp_path / "out"
+    assert main(["reconstruct", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "content, flags, named",
     [
         ({"warp": 3}, ["--tau", "2"], "warp"),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lagssm import (
     ArgumentError,
     BasisSpec,
-    DomainError,
     FohVectors,
     MemoryState,
     QuadratureConfig,
@@ -199,7 +198,7 @@ class TestReconstruct:
     def test_future_grid_rejected(self):
         spec = BasisSpec(n_basis=2)
         state = MemoryState(coeffs=np.zeros(2), t=1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ArgumentError, match="grid points must not exceed t=1.0"):
             reconstruct(state, spec, W, np.array([0.5, 1.2]))
 
     def test_round_trip_for_in_span_history(self):
@@ -238,6 +237,19 @@ class TestProjectDirect:
         expect = np.zeros(6)
         expect[0] = 1.0
         np.testing.assert_allclose(state.coeffs, expect, atol=1e-10)
+
+    def test_non_finite_signal_names_its_time(self):
+        """The message names the first history time s whose value is not
+        finite, as a plain float literal."""
+        spec, t = BasisSpec(n_basis=6), 1.0
+        z, _ = panel_nodes(0.0, 1.0, QUAD)
+        s = t + W.g(z)
+        first = s[s > 0.5][0]  # nodes run from the far past to t
+        with pytest.raises(ArgumentError, match="signal non-finite at s=") as err:
+            project_direct(lambda si: np.nan if si > 0.5 else 0.0, spec, W, t, QUAD)
+        message = str(err.value)
+        assert "np.float64" not in message
+        assert float(message.split("s=")[1]) == first
 
 
 def write_rows(path, times, values=None):
@@ -373,6 +385,19 @@ class TestSignalTrace:
     def test_state_validation(self):
         with pytest.raises(ArgumentError):
             MemoryState(coeffs=np.array([np.inf, 1.0]), t=0.0)
+        with pytest.raises(ArgumentError, match=r"coeffs must be a vector, got shape \(2, 2\)"):
+            MemoryState(coeffs=np.eye(2), t=0.0)
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [("t,u\n", "no samples in"), ("t,u\n0.5,1.0\n", "need at least two samples in")],
+        ids=["header-only", "one-sample"],
+    )
+    def test_too_few_samples_refused(self, tmp_path, content, named):
+        path = tmp_path / "short.csv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ArgumentError, match=f"{named} .*short.csv"):
+            SignalTrace.from_csv(path)
 
     def test_non_finite_samples_rejected(self, tmp_path):
         with pytest.raises(ArgumentError, match="values must be finite; sample 1"):

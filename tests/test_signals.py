@@ -93,6 +93,8 @@ def test_dt_guard():
         LorenzParams(dt=0.05)
     with pytest.raises(ArgumentError):
         LorenzParams(steps=0)
+    with pytest.raises(ArgumentError, match="burn_in must be nonnegative, got -1"):
+        LorenzParams(burn_in=-1)
 
 
 def test_lorenz63_matches_rk4_step_fold():

@@ -12,7 +12,7 @@ side generator, so the corrected transition is transposed before being
 compared with, or run against, anything built from a_hippo.
 
 Every polynomial matrix here is built without quadrature: the generator
-a_gen from the derivative of matrices.lag_matrix's M(c) at c = 1, a_delta
+a_gen as dM/dc at c = 1 of matrices.lag_matrix's M(c), a_delta
 as M(exp(delta / tau)), and the corrected transition as the forward shift
 matrices.exact_shift, c M(c) with c = exp(-delta / tau).  Only the default
 backward lagshift stays on the quadrature-built a_delta, checked against

@@ -59,38 +59,18 @@ def build_a_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
     """Generator entries <phi_n, phi'_m / g'> over the canonical interval.
 
     For the exponential warp g'(z) = tau / z, so the generator is D / tau
-    with D_{nm} = <phi_n, z phi'_m>, the derivative of lag_matrix's M(c) at
-    c = 1.  Built without quadrature by differentiating that recurrence:
-    with D_0 = 0,
-
-        D_{m+1} = (J e_m + (J - 1/2) D_m - b_m D_{m-1}) / b_{m+1},
-
-    J, b_m as in lag_matrix.  z phi'_m has degree m, so the result is exact
-    in the truncated space: upper triangular with exact zeros below the
-    diagonal and diagonal n / tau.
+    with D_{nm} = <phi_n, z phi'_m>, the derivative dM/dc at c = 1 of
+    lag_matrix's M(c).  D is taken from lag_matrix's recurrence by a complex
+    step (Squire & Trapp, SIAM Review 40(1), 1998): M(c) is a polynomial in
+    c with real coefficients, so Im M(1 + i h) = h D + O(h^3).  Nothing is
+    subtracted, so D is exact to rounding; h = 2^-300 is a power of two, so
+    the division by h is exact, and h^2 is still a normal float.
+    z phi'_m has degree m, so the result is exact in the truncated space:
+    upper triangular with exact zeros below the diagonal and diagonal
+    n / tau.
     """
-    n = basis.n_basis
-    b = _jacobi_offdiagonal(n)
-    cols = np.zeros((n, n))  # row m: coefficients of z phi'_m(z)
-    for m in range(n - 1):
-        v = cols[m, : m + 2]
-        nxt = np.zeros(m + 2)
-        nxt[1:] += b[: m + 1] * v[: m + 1]  # (J - 1/2) D_m
-        nxt[:-1] += b[: m + 1] * v[1:]
-        nxt[m] += 0.5  # J e_m
-        nxt[m + 1] += b[m]
-        if m:
-            nxt[m - 1] += b[m - 1]
-            nxt[:m] -= b[m - 1] * cols[m - 1, :m]
-        cols[m + 1, : m + 2] = nxt / b[m]
-    return cols.T / warp.rate
-
-
-def _jacobi_offdiagonal(n: int) -> np.ndarray:
-    """b_1..b_{n-1} of the basis's Jacobi matrix, b_m = m / (2 sqrt(4m^2 - 1));
-    entry m - 1 is b_m."""
-    k = np.arange(1.0, n)
-    return k / (2.0 * np.sqrt(4.0 * k * k - 1.0))
+    h = 2.0**-300
+    return _dilation(basis.n_basis, np.array(complex(1.0, h))).imag / (h * warp.rate)
 
 
 def build_b_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
@@ -178,30 +158,38 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
         where = f"c[{i}]" if cs.ndim else "c"
         raise ArgumentError(f"{where} must be a positive finite real, got {stack[i]}")
     n = basis.n_basis
-    b = _jacobi_offdiagonal(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        m = _dilation(n, cs)
+    finite = np.isfinite(m).all(axis=(-2, -1)).reshape(-1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericError(  # ln c is delta/tau for the step factor exp(delta/tau)
+            f"lag matrix overflows at c={stack[i]} (delta/tau={np.log(stack[i]):g}) and N={n}"
+        )
+    return m
+
+
+def _dilation(n: int, cs: np.ndarray) -> np.ndarray:
+    """lag_matrix's recurrence for the 0-d or 1-D array cs, real or complex:
+    M(c) of size n for each c, in cs's dtype, unchecked."""
+    k = np.arange(1.0, n)
+    b = k / (2.0 * np.sqrt(4.0 * k * k - 1.0))  # entry m - 1 is b_m
     cb = np.multiply.outer(b, cs)
     # c J - 1/2 = c (J - 1/2) + (c - 1) / 2: J's diagonal 1/2 never meets
     # the -1/2, so nothing cancels near c = 1 and M(1) is I exactly.
     half_gap = 0.5 * (cs - 1.0)
     # cols[m]: coefficients of phi_m(c z), one column per value of c when c
     # is a stack, so each update is one contiguous block.
-    cols = np.zeros((n, n) + cs.shape)
+    cols = np.zeros((n, n) + cs.shape, dtype=cs.dtype)
     cols[0, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for m in range(n - 1):
-            v = cols[m, : m + 2]
-            nxt = half_gap * v
-            nxt[1:] += cb[: m + 1] * v[: m + 1]
-            nxt[:-1] += cb[: m + 1] * v[1:]
-            if m:
-                nxt[:m] -= b[m - 1] * cols[m - 1, :m]
-            cols[m + 1, : m + 2] = nxt / b[m]
-    finite = np.isfinite(cols).all(axis=(0, 1)).reshape(-1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NumericError(  # ln c is delta/tau for the step factor exp(delta/tau)
-            f"lag matrix overflows at c={stack[i]} (delta/tau={np.log(stack[i]):g}) and N={n}"
-        )
+    for m in range(n - 1):
+        v = cols[m, : m + 2]
+        nxt = half_gap * v
+        nxt[1:] += cb[: m + 1] * v[: m + 1]
+        nxt[:-1] += cb[: m + 1] * v[1:]
+        if m:
+            nxt[:m] -= b[m - 1] * cols[m - 1, :m]
+        cols[m + 1, : m + 2] = nxt / b[m]
     return cols.T
 
 

@@ -65,6 +65,8 @@ class SignalTrace:
                 f"delta must be positive and t0 finite, got delta={self.delta}, t0={self.t0}"
             )
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "t0", float(self.t0))
 
     @property
     def times(self) -> np.ndarray:
@@ -384,11 +386,17 @@ def project_direct(
 ) -> MemoryState:
     """Offline oracle: measure-weighted projection of the history onto the
     warped basis, computed as c_n = integral of phi_n(z) u(sigma_t^{-1}(z))
-    over the canonical interval.  A non-finite signal value raises
-    ArgumentError naming the first history time s where it occurs."""
+    over the canonical interval.  u is called once, on the array of history
+    times s at the rule's nodes, and must return one value per node.  A
+    result of another shape, or a non-finite value, raises ArgumentError;
+    the latter names the first history time s where it occurs."""
     z, w = panel_nodes(0.0, 1.0, quad)
     s = t + warp.g(z)
-    vals = np.asarray([u(si) for si in s], dtype=float)
+    vals = np.asarray(u(s), dtype=float)
+    if vals.shape != s.shape:
+        raise ArgumentError(
+            f"u must return one value per history time: got shape {vals.shape} for {s.size} times"
+        )
     if not np.all(np.isfinite(vals)):
         bad = s[~np.isfinite(vals)][0]
         raise ArgumentError(f"signal non-finite at s={float(bad)!r}")

@@ -99,6 +99,17 @@ class TestAGen:
             m = lag_matrix(spec, np.exp(delta / tau))
             assert frobenius_rel_diff(m, matrix_exp(delta * a_gen)) <= 1e-11
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 256), tau=st.floats(0.01, 10.0))
+    def test_closed_form_property(self, n, tau):
+        """Over the basis range and tau in [0.01, 10], a_gen has exact zeros
+        below the diagonal and is -(a_hippo / tau)^T - I / tau to 1e-12
+        relative."""
+        a_gen = build_a_gen(BasisSpec(n_basis=n), WarpSpec(rate=tau))
+        want = -(hippo_legs_reference(n).a_hippo / tau).T - np.eye(n) / tau
+        assert np.all(np.tril(a_gen, -1) == 0.0)
+        assert np.linalg.norm(a_gen - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestBGen:
     def test_small(self):
@@ -233,6 +244,12 @@ class TestCorrectADelta:
             correct_a_delta(a_d, 0.1)  # condition estimate is ~1e16 here
         forced = correct_a_delta(a_d, 0.1, max_condition=None)
         assert np.all(np.isfinite(forced))
+
+    def test_singular_a_delta_is_a_numeric_error(self):
+        """With the guard off, an exactly singular a_delta fails in the
+        solve, as a NumericError."""
+        with pytest.raises(NumericError, match="a_delta is singular"):
+            correct_a_delta(np.zeros((3, 3)), 0.1, max_condition=None)
 
 
 class TestBackwardShift:

@@ -1,6 +1,7 @@
 """Recurrence stepping, reconstruction, and the direct-projection oracle."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -206,18 +207,18 @@ class TestReconstruct:
         on a 200-point grid."""
         spec = BasisSpec(n_basis=8)
         t = 4.0
-        u = lambda s: phi_matrix(spec, np.exp(s - t))[2, 0]
+        u = lambda s: phi_matrix(spec, np.exp(s - t))[2]
         state = project_direct(u, spec, W, t, QUAD)
         grid = np.linspace(t - 6.0, t, 200)
         got = reconstruct(state, spec, W, grid)
-        expect = np.array([u(s) for s in grid])
+        expect = u(grid)
         np.testing.assert_allclose(got, expect, atol=1e-8)
 
 
 class TestProjectDirect:
     def test_zero_signal(self):
         spec = BasisSpec(n_basis=6)
-        state = project_direct(lambda s: 0.0, spec, W, t=1.0, quad=QUAD)
+        state = project_direct(np.zeros_like, spec, W, t=1.0, quad=QUAD)
         np.testing.assert_array_equal(state.coeffs, np.zeros(6))
         assert state.t == 1.0
 
@@ -225,7 +226,7 @@ class TestProjectDirect:
         spec = BasisSpec(n_basis=6)
         t = 2.5
         state = project_direct(
-            lambda s: phi_matrix(spec, np.exp(s - t))[1, 0], spec, W, t, QUAD
+            lambda s: phi_matrix(spec, np.exp(s - t))[1], spec, W, t, QUAD
         )
         expect = np.zeros(6)
         expect[1] = 1.0
@@ -233,7 +234,7 @@ class TestProjectDirect:
 
     def test_constant_history_is_first_mode(self):
         spec = BasisSpec(n_basis=6)
-        state = project_direct(lambda s: 1.0, spec, W, t=0.0, quad=QUAD)
+        state = project_direct(np.ones_like, spec, W, t=0.0, quad=QUAD)
         expect = np.zeros(6)
         expect[0] = 1.0
         np.testing.assert_allclose(state.coeffs, expect, atol=1e-10)
@@ -246,10 +247,36 @@ class TestProjectDirect:
         s = t + W.g(z)
         first = s[s > 0.5][0]  # nodes run from the far past to t
         with pytest.raises(ArgumentError, match="signal non-finite at s=") as err:
-            project_direct(lambda si: np.nan if si > 0.5 else 0.0, spec, W, t, QUAD)
+            project_direct(lambda s: np.where(s > 0.5, np.nan, 0.0), spec, W, t, QUAD)
         message = str(err.value)
         assert "np.float64" not in message
         assert float(message.split("s=")[1]) == first
+
+    def test_u_must_return_one_value_per_node(self):
+        """u is called once on the node array; a scalar-indexing callable,
+        whose one value would broadcast over every node, is refused."""
+        spec, t = BasisSpec(n_basis=6), 2.5
+        nodes = QUAD.points_per_panel * QUAD.panels
+        for u, shape in [
+            (lambda s: phi_matrix(spec, np.exp(s - t))[1, 0], "()"),
+            (lambda s: phi_matrix(spec, np.exp(s - t)), f"(6, {nodes})"),
+        ]:
+            with pytest.raises(
+                ArgumentError, match=rf"one value per history time: got shape {re.escape(shape)} for {nodes} times"
+            ):
+                project_direct(u, spec, W, t, QUAD)
+
+    def test_u_is_called_once_on_the_nodes(self):
+        """u runs once, on every node of the rule, and the coefficients
+        equal those of a per-node evaluation."""
+        spec = BasisSpec(n_basis=16)
+        u = zoh_function(sine_mixture([1.0], [1.0], [0.0], 0.01, 500))
+        calls = []
+        state = project_direct(lambda s: calls.append(s.size) or u(s), spec, W, 5.0, QUAD)
+        z, w = panel_nodes(0.0, 1.0, QUAD)
+        assert calls == [z.size]
+        each = np.array([u(si) for si in 5.0 + W.g(z)])
+        assert state.coeffs.tobytes() == (phi_matrix(spec, z) @ (w * each)).tobytes()
 
 
 def write_rows(path, times, values=None):
@@ -269,6 +296,13 @@ class TestSignalTrace:
         trace = SignalTrace(values, 0.3, t0=-2.5)
         assert trace.times.tobytes() == (-2.5 + 0.3 * np.arange(7)).tobytes()
         assert SignalTrace(values, 0.3).times.tobytes() == (0.0 + 0.3 * np.arange(7)).tobytes()
+        # A numpy-scalar grid is stored as floats, so state times and
+        # messages print plain floats.
+        with pytest.raises(ArgumentError, match=r"state 1024 \(t=10\.24\)"):
+            run(SignalTrace(np.ones(2000), delta=np.float64(0.01)), 2 * np.eye(3), np.ones(3))
+        trace = SignalTrace(np.ones(5), delta=np.float64(0.01), t0=np.float32(0.5))
+        assert type(trace.delta) is float and type(trace.t0) is float
+        assert type(run(trace, 0.5 * np.eye(3), np.ones(3))[-1].t) is float
 
     def test_constructor_checks(self):
         with pytest.raises(ArgumentError, match="nonempty 1-D"):

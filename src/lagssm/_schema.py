@@ -19,7 +19,10 @@ from numbers import Integral, Real
 from .errors import ArgumentError
 
 
-def _finite(v) -> bool:
+def finite_real(v) -> bool:
+    """The rule of every `float` field: a finite real number, not a bool."""
+    if not isinstance(v, Real) or isinstance(v, bool):
+        return False
     try:
         return math.isfinite(v)
     except OverflowError:  # an int beyond float range
@@ -27,8 +30,7 @@ def _finite(v) -> bool:
 
 
 _SCALARS = {
-    float: (lambda v: isinstance(v, Real) and not isinstance(v, bool) and _finite(v),
-            "a finite real number"),
+    float: (finite_real, "a finite real number"),
     int: (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),

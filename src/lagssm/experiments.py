@@ -58,7 +58,7 @@ from .matrices import (
     step_factor,
 )
 from .quadrature import QuadratureConfig
-from .recurrence import SignalTrace, _grid_slack, run
+from .recurrence import SignalTrace, _grid_slack, _write_table, run
 from .signals import LorenzParams, lorenz63, normalize_trace, sine_mixture
 from .warp import WarpSpec
 
@@ -84,6 +84,11 @@ class Check:
 
     def line(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
+
+
+def _within(name: str, label: str, value: float, tol: float) -> Check:
+    """The check value <= tol, shown as label=value (tol tol)."""
+    return Check(name, value <= tol, f"{label}={value:.3e} (tol {tol:g})")
 
 
 @dataclass(frozen=True)
@@ -158,8 +163,15 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Config from parsed JSON.  An unknown key at any level, a section
         that is not an object, or a value not of its field's kind is an
-        ArgumentError naming the section and field."""
-        return build(cls, raw, "config")
+        ArgumentError naming the section and field, and so is a total_time
+        set with a csv signal, whose file's samples set the span."""
+        cfg = build(cls, raw, "config")
+        if cfg.signal.kind == "csv" and "total_time" in raw:
+            raise ArgumentError(
+                "total_time cannot be set with signal kind 'csv': "
+                "the file's samples set the span"
+            )
+        return cfg
 
 
 def make_signal(cfg: ExperimentConfig) -> SignalTrace:
@@ -196,14 +208,6 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
     return sine_mixture(sig.freqs, sig.amps, sig.phases, cfg.delta, steps)
 
 
-def _write_table(path, header: list[str], table) -> None:
-    """CSV in csv.writer's excel layout; floats in shortest-round-trip repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in np.asarray(table, dtype=float).tolist():
-            fh.write(",".join(map(repr, row)) + "\r\n")
-
-
 def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     """Three matrix-equivalence sweeps written to table1/2/3.csv.
 
@@ -219,7 +223,6 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
             row is checked on its exact-exponential column; the Tustin gap
             grows with N, so only its rise with delta is checked.
     """
-    checks = []
     n, tau = cfg.n_basis, cfg.warp.rate
     steps = np.array(TABLE_DELTAS)
 
@@ -232,17 +235,8 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     a_deltas, shifts = lags[: len(TABLE_DELTAS)], lags[len(TABLE_DELTAS) :]
     os.makedirs(cfg.output_dir, exist_ok=True)
     exps = matrix_exp(steps[:, None, None] * a_gen[:n, :n])
-    rows1 = []
-    for d, a_d, exp_d in zip(TABLE_DELTAS, a_deltas, exps):
-        diff = frobenius_rel_diff(a_d, exp_d)
-        rows1.append([d, diff])
-        checks.append(
-            Check(
-                name=f"table1 delta={d:g}",
-                ok=diff <= TABLE1_TOL,
-                detail=f"diff={diff:.3e} (tol {TABLE1_TOL:g})",
-            )
-        )
+    rows1 = [[d, frobenius_rel_diff(a, e)] for d, a, e in zip(TABLE_DELTAS, a_deltas, exps)]
+    checks = [_within(f"table1 delta={d:g}", "diff", diff, TABLE1_TOL) for d, diff in rows1]
     _write_table(os.path.join(cfg.output_dir, "table1.csv"), ["delta", "diff"], rows1)
 
     rows2 = []
@@ -250,13 +244,7 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
         ref = hippo_legs_reference(m)
         diff = frobenius_rel_diff(ref.a_hippo / tau, -(a_gen[:m, :m] + np.eye(m) / tau).T)
         rows2.append([m, diff])
-        checks.append(
-            Check(
-                name=f"table2 n={m}",
-                ok=diff <= TABLE2_TOL,
-                detail=f"diff={diff:.3e} (tol {TABLE2_TOL:g})",
-            )
-        )
+        checks.append(_within(f"table2 n={m}", "diff", diff, TABLE2_TOL))
     _write_table(os.path.join(cfg.output_dir, "table2.csv"), ["n", "diff"], rows2)
 
     ref = hippo_legs_reference(n)
@@ -269,13 +257,7 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
         corrected_t = (cfg.warp.f(-d) * shift).T
         diff_exact = frobenius_rel_diff(corrected_t, exact)
         rows3.append([d, frobenius_rel_diff(corrected_t, a_bar), diff_exact, float(cond)])
-        checks.append(
-            Check(
-                name=f"table3 delta={d:g}",
-                ok=diff_exact <= TABLE1_TOL,
-                detail=f"diff_exact_exp={diff_exact:.3e} (tol {TABLE1_TOL:g})",
-            )
-        )
+        checks.append(_within(f"table3 delta={d:g}", "diff_exact_exp", diff_exact, TABLE1_TOL))
     diffs3 = [row[1] for row in rows3]
     _write_table(
         os.path.join(cfg.output_dir, "table3.csv"),
@@ -342,14 +324,9 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
 
-    zero_signal = not np.any(trace.values)
-    if zero_signal:
-        ok = mse == 0.0
-        detail = f"zero signal, mse={mse!r}"
-    else:
-        ok = mse <= RECONSTRUCT_MSE_TOL
-        detail = f"mse={mse:.3e} (tol {RECONSTRUCT_MSE_TOL:g})"
-    return [Check(name="reconstruction equivalence", ok=ok, detail=detail)]
+    if not np.any(trace.values):
+        return [Check("reconstruction equivalence", mse == 0.0, f"zero signal, mse={mse!r}")]
+    return [_within("reconstruction equivalence", "mse", mse, RECONSTRUCT_MSE_TOL)]
 
 
 def cmd_lagshift(
@@ -394,11 +371,7 @@ def cmd_lagshift(
         exact = exact_shift(cfg.basis, cfg.warp, -cfg.delta)[n_show]
         err = float(np.abs(op[n_show] - exact).max() / np.abs(exact).max())
         checks.append(
-            Check(
-                name=f"lagshift n={n_show} backward vs exact shift",
-                ok=err <= TABLE1_TOL,
-                detail=f"row err={err:.3e} (tol {TABLE1_TOL:g})",
-            )
+            _within(f"lagshift n={n_show} backward vs exact shift", "row err", err, TABLE1_TOL)
         )
     return checks
 

@@ -1,9 +1,12 @@
 """Matrix builders for warped-basis state-space models.
 
-Continuous generators come from inner products of the basis with its own
-warped derivative; exact discrete transitions from inner products with the
-lag-composed basis.  Closed-form HiPPO-LegS matrices are provided as the
-reference the exponential-warp instance must reproduce.
+Every polynomial matrix comes from one Jacobi recurrence without
+quadrature: lag_matrix's dilation M(c), whose derivative at c = 1, taken by
+a complex step, is the generator build_a_gen, and whose shifts c M(c) are
+exact_shift.  What still integrates on the composite rule is build_a_delta,
+the quadrature-built backward step, and FOH's Ig in hold_vectors.
+Closed-form HiPPO-LegS matrices are provided as the reference the
+exponential-warp instance must reproduce.
 
 Orientation convention: a_gen / a_delta and the shift operators act on the
 stack of basis functions.  Coefficient vectors transform contravariantly,
@@ -148,7 +151,10 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
     For the exponential warp with rate tau, M(exp(delta / tau)) is a_delta;
     exact_shift builds the shifts c M(c).
     """
-    cs = np.asarray(c, dtype=float)
+    cs = np.asarray(c)
+    if cs.dtype.kind not in "iuf":  # complex, bool, string or object c
+        raise ArgumentError(f"c must be a positive finite real, got {cs.tolist()!r} ({cs.dtype})")
+    cs = cs.astype(float, copy=False)
     if cs.ndim > 1:
         raise ArgumentError(f"c must be a scalar or a 1-D array, got shape {cs.shape}")
     stack = cs.reshape(-1)

@@ -11,13 +11,14 @@ project_direct is the offline oracle for exactly that quantity.
 from __future__ import annotations
 
 import csv
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
+from ._schema import finite_real
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import FohVectors
@@ -60,9 +61,11 @@ class SignalTrace:
         if not np.isfinite(v).all():
             i = int(np.argmin(np.isfinite(v)))
             raise ArgumentError(f"values must be finite; sample {i} is {float(v[i])!r}")
-        if not (0.0 < self.delta < math.inf and math.isfinite(self.t0)):
+        if not (finite_real(self.delta) and finite_real(self.t0) and self.delta > 0.0):
+            # a number prints plainly, anything else by its repr
+            delta, t0 = (x if isinstance(x, Real) else repr(x) for x in (self.delta, self.t0))
             raise ArgumentError(
-                f"delta must be positive and t0 finite, got delta={self.delta}, t0={self.t0}"
+                f"delta must be positive and t0 finite, got delta={delta}, t0={t0}"
             )
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "delta", float(self.delta))
@@ -74,11 +77,7 @@ class SignalTrace:
         return self.t0 + self.delta * np.arange(self.values.size)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "u"])
-            for t, u in zip(self.times, self.values):
-                writer.writerow([repr(float(t)), repr(float(u))])
+        _write_table(path, ["t", "u"], np.column_stack([self.times, self.values]))
 
     @classmethod
     def from_csv(cls, path) -> "SignalTrace":
@@ -124,6 +123,15 @@ class SignalTrace:
                 f"times must be {what}, got {float(times[i])!r}"
             )
         return trace
+
+
+def _write_table(path, header: list[str], table) -> None:
+    """CSV in csv.writer's excel layout; floats in shortest-round-trip repr.
+    The one writer of every CSV the package emits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in np.asarray(table, dtype=float).tolist():
+            fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def _grid_slack(t0: float, t_end: float) -> float:

@@ -213,8 +213,6 @@ class TestReconstruct:
                 str(tmp_path),
                 "--signal",
                 f"csv:{trace_path}",
-                "--total-time",
-                "3.0",
             ]
         )
         assert code == 0
@@ -366,6 +364,54 @@ class TestLagshift:
         ]
 
 
+# A check's figure as "{:.3e}" prints it; matched by shape, not by value.
+_FIGURE = r"\d\.\d{3}e[+-]\d{2,3}"
+
+
+def _check_line(template):
+    """A check line pattern: the literal template with each # a figure."""
+    return _FIGURE.join(map(re.escape, template.split("#")))
+
+
+class TestCheckLines:
+    """Every command's check lines, pinned by name, label and tolerance
+    text; the figures are matched by their .3e shape."""
+
+    @pytest.mark.parametrize("tau", ["1", "2"])
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize(
+        "form",
+        [["tables"], ["reconstruct"], ["reconstruct", "--input-model", "foh"],
+         ["lagshift"], ["lagshift", "--direction", "forward"], ["matrices"]],
+        ids=["tables", "reconstruct-zoh", "reconstruct-foh",
+             "lagshift-backward", "lagshift-forward", "matrices"],
+    )
+    def test_lines(self, tmp_path, capsys, form, n, tau):
+        out = str(tmp_path / "out")
+        assert main([*form, "--n", str(n), "--tau", tau, "--out", out]) == 0
+        command, last = form[0], n - 1
+        if command == "tables":
+            expected = (
+                [f"table1 delta={d:g}: diff=# (tol 1e-07)" for d in TABLE_DELTAS]
+                + [f"table2 n={m}: diff=# (tol 1e-10)" for m in TABLE2_SIZES]
+                + [f"table3 delta={d:g}: diff_exact_exp=# (tol 1e-07)" for d in TABLE_DELTAS]
+                + ["table3 monotone trend: diffs strictly increase"]
+            )
+        elif command == "reconstruct":
+            expected = ["reconstruction equivalence: mse=# (tol 1e-05)"]
+        elif command == "lagshift" and "forward" in form:
+            expected = [f"lagshift n={last} forward: max|shifted|=#"]
+        elif command == "lagshift":
+            expected = [f"lagshift n={last} backward: max|shifted|=#",
+                        f"lagshift n={last} backward vs exact shift: row err=# (tol 1e-07)"]
+        else:
+            expected = ["matrices dump: " + os.path.join(out, "matrices.json")]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(expected)
+        for line, template in zip(lines, expected):
+            assert re.fullmatch("PASS " + _check_line(template), line), (line, template)
+
+
 class TestMatricesCommand:
     def test_small_dump_contents(self, tmp_path):
         from lagssm.matrices import load_matrices_json
@@ -437,12 +483,35 @@ class TestRefusedCommands:
          (["reconstruct", "--delta", "0.05"],
           "sample spacing delta must be in (0, MAX_LORENZ_DT=0.02], got 0.05"),
          (["reconstruct", "--delta", "0"], "signal generation needs a positive delta"),
-         (["reconstruct", "--signal", "bogus"], "unknown signal 'bogus'")],
+         (["reconstruct", "--signal", "bogus"], "unknown signal 'bogus'"),
+         # a csv signal's samples set the span; refused before the file is read
+         (["reconstruct", "--signal", "csv:sig.csv", "--total-time", "99"],
+          "error: total_time cannot be set with signal kind 'csv': "
+          "the file's samples set the span")],
     )
     def test_refused_input_makes_no_directory(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_signal", [False, True], ids=["csv-flag", "csv-in-file"])
+    def test_total_time_from_file_with_csv_signal_is_refused(
+        self, tmp_path, capsys, file_signal
+    ):
+        """A total_time from the config file is refused beside a csv signal
+        from the flag or from the same file (which must pass on its own)."""
+        path = tmp_path / "sig.csv"
+        SignalTrace(np.sin(0.01 * np.arange(300)), 0.01).to_csv(path)
+        raw, flags = {"total_time": 3.0}, ["--signal", f"csv:{path}"]
+        if file_signal:
+            raw["signal"], flags = {"kind": "csv", "csv_path": str(path)}, []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: total_time cannot be set with signal kind 'csv'")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -571,9 +571,13 @@ class TestLagMatrix:
         a_d = build_a_delta(spec, W, delta, QUAD)
         assert frobenius_rel_diff(a_d, lag_matrix(spec, np.exp(delta))) <= 1e-12
 
-    @pytest.mark.parametrize("c", [0.0, -0.5, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "c", [0.0, -0.5, np.nan, np.inf, 1 + 1j, [1.0, 1 + 1j], "2", True, None]
+    )
     def test_rejects_bad_c(self, c):
-        with pytest.raises(ArgumentError):
+        """Complex or non-numeric c is refused by name, not with numpy's
+        TypeError or a dropped imaginary part."""
+        with pytest.raises(ArgumentError, match="^c must be a positive finite real, got "):
             lag_matrix(BasisSpec(n_basis=4), c)
 
     def test_overflow_is_named(self):

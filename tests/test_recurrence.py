@@ -310,9 +310,20 @@ class TestSignalTrace:
         with pytest.raises(ArgumentError, match="nonempty 1-D"):
             SignalTrace(np.zeros((2, 2)), 0.1)
         for delta, t0 in [(0.0, 0.0), (-0.1, 0.0), (np.nan, 0.0), (np.inf, 0.0),
-                          (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf)]:
+                          (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf),
+                          (np.float64(-0.1), np.float32(0.5))]:
             with pytest.raises(ArgumentError, match=f"delta must be positive and t0 finite, got delta={delta}, t0={t0}"):
                 SignalTrace(np.zeros(3), delta, t0)
+        # A wrong-typed delta or t0 meets the finite-real rule of every
+        # config float, not a bare TypeError; an int delta is a real.
+        for delta, t0, shown in [("0.1", 0.0, "delta='0.1', t0=0.0"),
+                                 (0.1, None, "delta=0.1, t0=None"),
+                                 (np.array([0.1]), 0.0, "delta=array([0.1]), t0=0.0"),
+                                 (True, 0.0, "delta=True, t0=0.0")]:
+            with pytest.raises(ArgumentError) as exc:
+                SignalTrace(np.zeros(3), delta, t0)
+            assert str(exc.value) == f"delta must be positive and t0 finite, got {shown}"
+        assert SignalTrace(np.zeros(3), 1).delta == 1.0
 
     def test_late_grid_is_accepted(self):
         """Past t = 8192 the float spacing of the times exceeds 1e-12; the

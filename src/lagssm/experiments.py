@@ -72,6 +72,7 @@ RECONSTRUCT_MSE_TOL = 1e-5
 LAGSHIFT_GRID_POINTS = 500
 RECON_GRID_POINTS = 1000
 SIGNAL_KINDS = ("lorenz", "sine", "csv")
+_DEFAULT_TOTAL_TIME = 10.0  # what an unset total_time reads as
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,15 @@ class SignalConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full experiment setup; defaults give N=64, delta=0.01, T=10."""
+    """Full experiment setup; defaults give N=64, delta=0.01, T=10.
+
+    total_time is None when unset: T = 10 for a generated signal and the
+    lagshift grid.  A csv signal's samples set its span, so a total_time
+    beside it is an ArgumentError."""
 
     n_basis: int = 64
     delta: float = 0.01
-    total_time: float = 10.0
+    total_time: float | None = None
     warp: WarpSpec = field(default_factory=WarpSpec)
     input_model: str = ZOH
     signal: SignalConfig = field(default_factory=SignalConfig)
@@ -145,8 +150,13 @@ class ExperimentConfig:
         check_hold(self.input_model)
         # delta == 0 is allowed so the shift commands can show the identity
         # operator; signal-driven commands reject it when they divide by it.
-        if self.delta < 0.0 or self.total_time <= 0.0:
+        if self.delta < 0.0 or (self.total_time is not None and self.total_time <= 0.0):
             raise ArgumentError("delta must be nonnegative and total_time positive")
+        if self.signal.kind == "csv" and self.total_time is not None:
+            raise ArgumentError(
+                "total_time cannot be set with signal kind 'csv': "
+                "the file's samples set the span"
+            )
         if not self.output_dir:
             raise ArgumentError("output_dir must be a nonempty path")
         BasisSpec(n_basis=self.n_basis)  # checks n_basis now, not at first use
@@ -163,15 +173,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Config from parsed JSON.  An unknown key at any level, a section
         that is not an object, or a value not of its field's kind is an
-        ArgumentError naming the section and field, and so is a total_time
-        set with a csv signal, whose file's samples set the span."""
-        cfg = build(cls, raw, "config")
-        if cfg.signal.kind == "csv" and "total_time" in raw:
-            raise ArgumentError(
-                "total_time cannot be set with signal kind 'csv': "
-                "the file's samples set the span"
-            )
-        return cfg
+        ArgumentError naming the section and field."""
+        return build(cls, raw, "config")
 
 
 def make_signal(cfg: ExperimentConfig) -> SignalTrace:
@@ -187,10 +190,11 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
                 f"trace spacing {trace.delta} does not match configured delta {cfg.delta}"
             )
         return trace
-    steps = int(round(cfg.total_time / cfg.delta))
+    total_time = _DEFAULT_TOTAL_TIME if cfg.total_time is None else cfg.total_time
+    steps = int(round(total_time / cfg.delta))
     if steps < 1:
         raise ArgumentError(
-            f"total_time={cfg.total_time} is under half of delta={cfg.delta}, "
+            f"total_time={total_time} is under half of delta={cfg.delta}, "
             "so the signal has no samples"
         )
     if sig.kind == "lorenz":
@@ -349,7 +353,7 @@ def cmd_lagshift(
         op = exact_shift(cfg.basis, cfg.warp, cfg.delta)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
-    t_end = cfg.total_time
+    t_end = _DEFAULT_TOTAL_TIME if cfg.total_time is None else cfg.total_time
     s_grid = np.linspace(0.0, t_end, LAGSHIFT_GRID_POINTS)
     phi = phi_matrix(cfg.basis, cfg.warp.f(s_grid - t_end))
     original = phi[n_show]

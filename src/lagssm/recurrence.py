@@ -28,6 +28,7 @@ from .warp import WarpSpec
 _GRID_ULPS = 4
 _MAX_CHUNK = 32
 _BLOCK_CHUNKS = 16
+_SLAB_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -166,12 +167,13 @@ class Trajectory(Sequence):
     chunk c, from its start s_c and its inputs w_c (see `run`).  The
     trajectory keeps rhs, a read-only (chunks, K*m) copy of the inputs and
     a (blocks, N) table holding the first chunk start of each aligned
-    block of _BLOCK_CHUNKS chunks.  Block i is built from its table row:
-    one product for its chunks' drives, the serial a^K steps to its other
-    starts, then one product with rhs.  `run`'s first pass takes the same
-    steps with the same shapes, so a state is bit-identical however and in
-    whatever order it is read; a one-row product is not bit-equal to that
-    row of a larger one, so blocks are never split.  The last block read
+    block of _BLOCK_CHUNKS chunks, filled once by `run` (_fill_table: the
+    serial a^K chain, or one (a^K)^16 step a block on long traces).  Block
+    i is always built from its table row the same way: one product for its
+    chunks' drives, the serial a^K steps to its other starts, then one
+    product with rhs.  So a state is bit-identical however and in whatever
+    order it is read; a one-row product is not bit-equal to that row of a
+    larger one, so blocks are never split.  The last block read
     is kept, so `states[-1]` costs one block and iterating costs one block
     build per block.  `coeffs` fills every state into one (L+1, N) array,
     block by block, on first read.
@@ -253,6 +255,46 @@ class Trajectory(Sequence):
             np.add(start, np.dot(prev, self._a_k), out=start)
         return starts
 
+    def _fill_table(self) -> None:
+        """Write the start of every block after the first into the table,
+        from its row 0: run's first pass.  Unchecked; the caller silences
+        overflow.
+
+        The serial chain runs _starts on each block in turn: B =
+        _BLOCK_CHUNKS steps s_{c+1} = s_c a^K + d_c a block (rows, d_c the
+        drive of chunk c).  Where it pays, the chain steps once a block
+        instead, table[i+1] = table[i] A_B + e_i with A_B = (a^K)^B, four
+        squarings of a^K.  Block i's own share e_i of its end is Horner's
+        fold of its drives, (..(d_0 a^K + d_1) a^K + ..) + d_{B-1}, taken for
+        a slab of _SLAB_BLOCKS blocks at once: one drive product and B-1
+        matrix products a slab.  Each partial sum is the state of a
+        zero-start run over the block, so no power above a^K meets an input.
+
+        It pays when the four squarings cost no more than the chain steps
+        they save.  A squaring is N^3 multiply-adds, but below N = B the
+        cost of a call dominates and it costs about as much as one block of
+        the chain, B mat-vecs; a block of the chain is B N^2.  So A_B is
+        taken when 4 max(N, B) <= B (blocks - 1): at least 4 folded blocks,
+        and at least N/4 from N = B up.  An A_B that overflows would meet a
+        zero start as 0 * inf = nan and mark finite states bad, so the
+        serial chain is kept then; it names the first non-finite state the
+        step fold names.
+        """
+        b, n, last = _BLOCK_CHUNKS, self._n, self._blocks - 1
+        a_b = np.linalg.matrix_power(self._a_k, b) if 4 * max(n, b) <= b * last else None
+        if a_b is None or not np.isfinite(a_b).all():
+            for i in range(last):
+                self._table[i + 1] = self._starts(i)[-1]
+            return
+        scratch = np.empty((min(_SLAB_BLOCKS, last) * b, n))
+        for first in range(0, last, _SLAB_BLOCKS):
+            w = self._inputs[first * b : min(first + _SLAB_BLOCKS, last) * b]
+            drives = np.dot(w, self._drive, out=scratch[: len(w)]).reshape(-1, b, n)
+            for j in range(1, b):
+                drives[:, j] += drives[:, j - 1] @ self._a_k
+            for i, end in enumerate(drives[:, -1], start=first):
+                np.add(end, np.dot(self._table[i], a_b), out=self._table[i + 1])
+
     def _product(self, i: int) -> np.ndarray:
         """States of block i as rows, past state L dropped; unchecked."""
         # An unstable a overflows; the caller reports the first bad state.
@@ -300,10 +342,15 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
         x_{cK+j+1} = a^{j+1} s_c + sum_{i<=j} a^{j-i} b w_{cK+i}.
     With rhs = [a^{j+1}^T ; Toeplitz(a^{j-i} b)^T] (column block j gives
     state cK+j+1), [s_c | w_{cK..cK+K-1}] @ rhs gives chunk c's states, a
-    product the Trajectory forms block by block.  The chunk starts come
-    from a serial recurrence with a^K (L/K mat-vecs), s_{c+1} = a^K s_c +
-    d_c, where chunk c's drive d_c (its inputs' share of state cK+K) is its
-    inputs times the Toeplitz part of rhs's last column block.
+    product the Trajectory forms block by block.  The chunk starts obey
+    s_{c+1} = a^K s_c + d_c, where chunk c's drive d_c (its inputs' share
+    of state cK+K) is its inputs times the Toeplitz part of rhs's last
+    column block.  Only the first start of each block of B = 16 chunks is
+    kept, in a table.  A long trace carries the block starts one block at
+    a time by A_B = (a^K)^B, from four squarings: L/(BK) serial mat-vecs
+    instead of the chunk chain's L/K.  A short trace, or an unstable a
+    whose A_B overflows, keeps the chunk chain (Trajectory._fill_table
+    states when each applies).
     K = clamp(L // N, 1, 32) keeps the powers and the operands no larger
     than the trajectory itself.  A non-finite final state, which any
     non-finite chunk start makes, raises ArgumentError naming the first
@@ -313,13 +360,12 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     delayed column included) and a (blocks, N) table of block starts, plus
     one block of _BLOCK_CHUNKS chunks per read; no array holds every chunk
     start.  The inputs are one zero-padded (chunks*K, m) array viewed as
-    (chunks, K*m).  The first pass walks every block but the last: one
-    drive product into a block-sized scratch, the serial a^K steps on its
-    rows, and the next block's start written into the table.  The last
-    block, which holds the final state, is then built and checked like any
-    read; that is run's one finiteness check.  rhs is filled from one
-    rolling power a^{j+1} (with a (K, N, m) kernel), not a stack of all
-    K+1 powers.
+    (chunks, K*m).  The first pass fills the table, with scratch of one
+    block's chunk starts (serial chain) or one slab's drives (block
+    power).  The last block, which holds the final state, is then built
+    and checked like any read; that is run's one finiteness check.  rhs is
+    filled from one rolling power a^{j+1} (with a (K, N, m) kernel), not a
+    stack of all K+1 powers.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -363,8 +409,7 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     table = np.zeros((-(-chunks // _BLOCK_CHUNKS), n))
     states = Trajectory(inputs, rhs, table, trace)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(table) - 1):
-            table[i + 1] = states._starts(i)[-1]
+        states._fill_table()
     table.flags.writeable = False
     # A non-finite start makes every later one non-finite (inf and nan
     # carry through the mat-vec), so the last block, which holds the final

@@ -70,7 +70,9 @@ def lorenz63(params: LorenzParams) -> SignalTrace:
     dt = float(params.dt)
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def xs(x, y, z):
+    # The constants are bound as defaults: the loop reads them as fast
+    # locals, not as closure cells.
+    def xs(x, y, z, sigma=sigma, rho=rho, beta=beta, dt=dt, half=half, sixth=sixth):
         """Yields x after each step, then the final (x, y, z)."""
         for _ in repeat(None, params.burn_in + params.steps):
             kx1, ky1, kz1 = sigma * (y - x), x * (rho - z) - y, x * y - beta * z

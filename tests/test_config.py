@@ -43,7 +43,7 @@ KINDS = {
     ExperimentConfig: {
         "n_basis": _of(int),
         "delta": _real,
-        "total_time": _real,
+        "total_time": lambda v: v is None or _real(v),
         "warp": _of(WarpSpec),
         "input_model": _of(str),
         "signal": _of(SignalConfig),
@@ -175,8 +175,11 @@ def test_newly_checked_value_is_an_error(tmp_path, monkeypatch, capsys, raw, nam
          "delta must be nonnegative and total_time positive"),
         (lambda: ExperimentConfig(total_time=0.0), ["--total-time", "0"],
          "delta must be nonnegative and total_time positive"),
+        (lambda: ExperimentConfig(total_time=99.0, signal=SignalConfig(kind="csv", csv_path="s.csv")),
+         ["--signal", "csv:s.csv", "--total-time", "99"],
+         "total_time cannot be set with signal kind 'csv'"),
     ],
-    ids=["negative-burn-in", "negative-delta", "zero-total-time"],
+    ids=["negative-burn-in", "negative-delta", "zero-total-time", "total-time-beside-csv"],
 )
 def test_out_of_range_value_is_an_error(tmp_path, capsys, build, flags, named):
     """A value of the right kind but out of range is an ArgumentError when

@@ -529,6 +529,24 @@ class TestRunMatchesStepFold:
         trace = SignalTrace(rng.standard_normal(length), delta)
         assert rel_gap(run(trace, a, b).coeffs, step_fold(trace, a, b)) <= 1e-12
 
+    @pytest.mark.parametrize("model", ["zoh", "foh"])
+    @pytest.mark.parametrize(
+        "n, length",
+        [(1, 20011), (8, 20011), (64, 20011), (64, 8704), (64, 60)],
+        ids=["n1-three-slabs", "n8-three-slabs", "n64-three-slabs", "n64-one-slab", "n64-k-is-1"],
+    )
+    def test_many_blocks(self, model, n, length):
+        """Long traces, whose block starts run carries one block at a time
+        with (a^K)^16.  At K = 32 the lengths give 39 folded blocks (three
+        slabs; the last block is a whole chunk and a partial one) and 16
+        (one slab; a whole last block).  K = 1 (N >= L) never has enough
+        blocks for the block power and keeps the serial chain."""
+        delta, spec = 0.01, BasisSpec(n_basis=n)
+        a = coefficient_transition(spec, delta)
+        b = build_b_delta(spec, W, delta, model, QUAD)
+        trace = SignalTrace(np.random.default_rng(length).standard_normal(length), delta)
+        assert rel_gap(run(trace, a, b).coeffs, step_fold(trace, a, b)) <= 1e-12
+
 
 class TestShiftInvariance:
     """The recurrence is time-invariant and starts from zero, so k leading
@@ -750,6 +768,23 @@ class TestRunErrors:
         assert first_bad is not None and first_bad % _MAX_CHUNK != 0
         with pytest.raises(ArgumentError, match=f"coeffs must be finite: state {first_bad} "):
             run(trace, a, b)
+
+    @pytest.mark.parametrize("zeros, ones, first_bad", [(600, 1400, 1042), (3000, 1000, 3442)])
+    def test_overflowing_block_power_names_the_folds_state(self, zeros, ones, first_bad):
+        """With a = 5 I, (a^K)^16 = 5^512 overflows, and 0 * inf would make
+        a zero block start nan.  Zeros then ones first overflow 442 states
+        into the ones, as the fold finds; run names that state, both where
+        the trace is too short for the block power (600 zeros, 4 blocks) and
+        where it is long enough (3000, 8 blocks)."""
+        a, b = 5.0 * np.eye(3), np.ones(3)
+        trace = SignalTrace(np.concatenate([np.zeros(zeros), np.ones(ones)]), delta=0.01)
+        assert first_failing_step(a, b, trace) == first_bad
+        with pytest.raises(ArgumentError, match=f"coeffs must be finite: state {first_bad} "):
+            run(trace, a, b)
+
+    def test_overflowing_block_power_keeps_a_zero_trace_zero(self):
+        final = run(SignalTrace(np.zeros(20000), delta=0.01), 5.0 * np.eye(3), np.ones(3))[-1]
+        assert final.coeffs.tobytes() == np.zeros(3).tobytes()
 
     def test_non_square_transition(self):
         trace = SignalTrace(np.ones(5), delta=0.1)

@@ -20,12 +20,12 @@ exact_shift at -delta, and FOH's log-weighted integral on the fixed 64x8
 QuadratureConfig() rule; no command setting changes it.  Every comparison
 is at rate tau: the reference pair is a_hippo / tau, b_hippo / tau.
 
-tables builds in one stacked pass: one a_gen, at the larger of N and the
-largest table2 size, serves all three tables through its leading blocks;
-one lag_matrix call gives the eight M(exp(+-delta / tau)), and the
-exponentials, condition numbers and Tustin solves are one stacked call
-each.  Every figure equals the one from separate scalar builds, bit for
-bit.
+tables builds one step at a time: one a_gen, at the larger of N and the
+largest table2 size, serves all three tables through its leading blocks,
+and one lag_matrix call gives the eight M(exp(+-delta / tau)); each step
+then pairs M(c) with its inverse M(1/c) in per-matrix matrix_exp, Tustin
+and norm calls.  Every figure equals the one from separate per-step
+builds, bit for bit.
 """
 
 from __future__ import annotations
@@ -222,52 +222,43 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     table3: forward shift c M(c), c = exp(-delta / tau), vs Tustin
             discretization of the rate-tau reference (a_hippo / tau,
             b_hippo / tau), with an exact-exponential column and
-            cond(M(exp(delta / tau))), the conditioning of the backward
-            transition (large-step rows are conditioning-limited).  Each
-            row is checked on its exact-exponential column; the Tustin gap
-            grows with N, so only its rise with delta is checked.
+            cond_2(M(c)) = ||M(c)||_2 ||M(1/c)||_2, c = exp(delta / tau),
+            the conditioning of the backward transition (large-step rows
+            are conditioning-limited).  Each row is checked on its
+            exact-exponential column; the Tustin gap grows with N, so only
+            its rise with delta is checked.
     """
     n, tau = cfg.n_basis, cfg.warp.rate
-    steps = np.array(TABLE_DELTAS)
-
     # Column m of a_gen's recurrence reads only earlier columns, so each
     # leading block is bit-equal to a build at that size.
     a_gen = build_a_gen(BasisSpec(n_basis=max(n, *TABLE2_SIZES)), cfg.warp)
+    k = len(TABLE_DELTAS)
     lags = lag_matrix(
         cfg.basis, [step_factor(cfg.warp, s * d) for s in (1.0, -1.0) for d in TABLE_DELTAS]
     )
-    a_deltas, shifts = lags[: len(TABLE_DELTAS)], lags[len(TABLE_DELTAS) :]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    exps = matrix_exp(steps[:, None, None] * a_gen[:n, :n])
-    rows1 = [[d, frobenius_rel_diff(a, e)] for d, a, e in zip(TABLE_DELTAS, a_deltas, exps)]
-    checks = [_within(f"table1 delta={d:g}", "diff", diff, TABLE1_TOL) for d, diff in rows1]
-    _write_table(os.path.join(cfg.output_dir, "table1.csv"), ["delta", "diff"], rows1)
-
+    ref = hippo_legs_reference(n)
+    a_ref, b_ref = ref.a_hippo / tau, ref.b_hippo / tau
+    rows1, rows3 = [], []
+    for d, a_delta, inverse in zip(TABLE_DELTAS, lags[:k], lags[k:]):
+        rows1.append([d, frobenius_rel_diff(a_delta, matrix_exp(d * a_gen[:n, :n]))])
+        corrected_t = (cfg.warp.f(-d) * inverse).T
+        a_bar, _ = bilinear_discretize(a_ref, b_ref, d)
+        diff_exact = frobenius_rel_diff(corrected_t, matrix_exp(d * a_ref))
+        # M(c)^-1 = M(1/c), so cond_2 needs only the two largest singular
+        # values; the SVD's smallest one is lost past about 1/eps.
+        cond = np.linalg.norm(a_delta, 2) * np.linalg.norm(inverse, 2)
+        rows3.append([d, frobenius_rel_diff(corrected_t, a_bar), diff_exact, float(cond)])
     rows2 = []
     for m in TABLE2_SIZES:
-        ref = hippo_legs_reference(m)
-        diff = frobenius_rel_diff(ref.a_hippo / tau, -(a_gen[:m, :m] + np.eye(m) / tau).T)
-        rows2.append([m, diff])
-        checks.append(_within(f"table2 n={m}", "diff", diff, TABLE2_TOL))
-    _write_table(os.path.join(cfg.output_dir, "table2.csv"), ["n", "diff"], rows2)
+        a_m = hippo_legs_reference(m).a_hippo / tau
+        rows2.append([m, frobenius_rel_diff(a_m, -(a_gen[:m, :m] + np.eye(m) / tau).T)])
 
-    ref = hippo_legs_reference(n)
-    a_ref = ref.a_hippo / tau
-    a_bars, _ = bilinear_discretize(a_ref, ref.b_hippo / tau, steps)
-    exacts = matrix_exp(steps[:, None, None] * a_ref)
-    conds = np.linalg.cond(a_deltas)
-    rows3 = []
-    for d, shift, a_bar, exact, cond in zip(TABLE_DELTAS, shifts, a_bars, exacts, conds):
-        corrected_t = (cfg.warp.f(-d) * shift).T
-        diff_exact = frobenius_rel_diff(corrected_t, exact)
-        rows3.append([d, frobenius_rel_diff(corrected_t, a_bar), diff_exact, float(cond)])
-        checks.append(_within(f"table3 delta={d:g}", "diff_exact_exp", diff_exact, TABLE1_TOL))
+    checks = [_within(f"table1 delta={d:g}", "diff", diff, TABLE1_TOL) for d, diff in rows1]
+    checks += [_within(f"table2 n={m}", "diff", diff, TABLE2_TOL) for m, diff in rows2]
+    checks += [
+        _within(f"table3 delta={row[0]:g}", "diff_exact_exp", row[2], TABLE1_TOL) for row in rows3
+    ]
     diffs3 = [row[1] for row in rows3]
-    _write_table(
-        os.path.join(cfg.output_dir, "table3.csv"),
-        ["delta", "diff", "diff_exact_exp", "cond_a_delta"],
-        rows3,
-    )
     increasing = all(a < b for a, b in zip(diffs3, diffs3[1:]))
     checks.append(
         Check(
@@ -276,6 +267,13 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
             detail="diffs " + ("strictly increase" if increasing else "do not increase"),
         )
     )
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    for name, header, rows in (
+        ("table1.csv", ["delta", "diff"], rows1),
+        ("table2.csv", ["n", "diff"], rows2),
+        ("table3.csv", ["delta", "diff", "diff_exact_exp", "cond_a_delta"], rows3),
+    ):
+        _write_table(os.path.join(cfg.output_dir, name), header, rows)
     return checks
 
 

@@ -344,22 +344,20 @@ _EXPM_SCALE_TARGET = 0.5
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a degree-13 diagonal
-    Pade approximant.
-
-    m is one (N, N) matrix or a (k, N, N) stack; each matrix keeps its own
-    squaring count, so each slice is bit-equal to the 2-D call on it.
+    """Matrix exponential of one square matrix by scaling-and-squaring with a
+    degree-13 diagonal Pade approximant (Higham, SIAM J. Matrix Anal. Appl.
+    26(4), 2005).
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-        raise ArgumentError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ArgumentError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ArgumentError("matrix has non-finite entries")
-    norm = np.linalg.norm(m, 1, axis=(-2, -1))
-    squarings = np.zeros(norm.shape, dtype=int)
-    big = norm > _EXPM_SCALE_TARGET
-    squarings[big] = np.ceil(np.log2(norm[big] / _EXPM_SCALE_TARGET))
-    a = m / (2.0**squarings)[..., None, None]
+    norm = np.linalg.norm(m, 1)
+    squarings = 0
+    if norm > _EXPM_SCALE_TARGET:
+        squarings = int(np.ceil(np.log2(norm / _EXPM_SCALE_TARGET)))
+    a = m / 2.0**squarings
 
     b = _PADE13_B
     ident = np.eye(a.shape[-1])
@@ -384,24 +382,21 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         r = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Pade denominator is singular: {exc}") from exc
-    for j in range(squarings.max(initial=0)):
-        more = squarings > j  # a 0-d mask for a 2-D m: r[True] is r[None]
-        part = r[more]
-        r[more] = part @ part
+    for _ in range(squarings):
+        r = r @ r
     return r
 
 
 def bilinear_discretize(
-    a: np.ndarray, b: np.ndarray, delta: float | np.ndarray
+    a: np.ndarray, b: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tustin transform: ((I - d/2 a)^-1 (I + d/2 a), (I - d/2 a)^-1 d b).
-
-    A 1-D delta of k steps gives the (k, N, N) and (k, N) stacks from one
-    solve, each slice bit-equal to the call at that step.
-    """
+    """Tustin transform: ((I - d/2 a)^-1 (I + d/2 a), (I - d/2 a)^-1 d b)
+    for one step d = delta."""
+    if np.ndim(delta):
+        raise ArgumentError(f"delta must be a scalar, got shape {np.shape(delta)}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = np.asarray(delta, dtype=float)[..., None, None]
+    d = float(delta)
     n = a.shape[0]
     ident = np.eye(n)
     lhs = ident - 0.5 * d * a
@@ -410,7 +405,7 @@ def bilinear_discretize(
         sol = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"bilinear resolvent is singular: {exc}") from exc
-    return sol[..., :n], sol[..., n]
+    return sol[:, :n], sol[:, n]
 
 
 def frobenius_rel_diff(m1: np.ndarray, m2: np.ndarray) -> float:

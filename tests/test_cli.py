@@ -100,8 +100,9 @@ class TestTables:
 
 
 class TestTablesStackedPass:
-    """tables builds its matrices in stacked calls from one a_gen; every
-    figure it writes equals the one from separate scalar builds, exactly."""
+    """tables builds one step at a time from one a_gen and one stacked
+    lag_matrix call; every figure it writes equals the one from separate
+    per-step builds, exactly, and the tables pass away from the default."""
 
     @pytest.mark.parametrize("tau", [1.0, 2.0])
     @pytest.mark.parametrize("n", [32, 64])  # at N=32 table2 needs a_gen at 50 > N
@@ -115,14 +116,15 @@ class TestTablesStackedPass:
             a_d = lag_matrix(spec, warp.f(d))
             expect1.append([d, frobenius_rel_diff(a_d, matrix_exp(d * a_gen))])
             c = warp.f(-d)
-            corrected_t = (c * lag_matrix(spec, c)).T
+            inverse = lag_matrix(spec, c)
+            corrected_t = (c * inverse).T
             a_bar, _ = bilinear_discretize(ref.a_hippo / tau, ref.b_hippo / tau, d)
             expect3.append(
                 [
                     d,
                     frobenius_rel_diff(corrected_t, a_bar),
                     frobenius_rel_diff(corrected_t, matrix_exp(d * ref.a_hippo / tau)),
-                    float(np.linalg.cond(a_d)),
+                    float(np.linalg.norm(a_d, 2) * np.linalg.norm(inverse, 2)),
                 ]
             )
         expect2 = []
@@ -133,6 +135,22 @@ class TestTablesStackedPass:
         assert read_table(tmp_path / "table1.csv")[1] == expect1
         assert read_table(tmp_path / "table2.csv")[1] == expect2
         assert read_table(tmp_path / "table3.csv")[1] == expect3
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_cond_column_within_frobenius_bounds(self, tmp_path, n, tau):
+        """cond_2(M) lies in [F / N, F] with F = ||M||_F ||M^-1||_F, and
+        M(c)^-1 = M(1/c); no SVD is taken.  An SVD-based cond reads up to
+        45 decades too high here (N=256, delta=0.1, tau=1)."""
+        main(["tables", "--n", str(n), "--tau", str(tau), "--out", str(tmp_path)])
+        spec, warp = BasisSpec(n_basis=n), WarpSpec(rate=tau)
+        _, rows = read_table(tmp_path / "table3.csv")
+        assert [r[0] for r in rows] == list(TABLE_DELTAS)
+        for d, _, _, cond in rows:
+            f = np.linalg.norm(lag_matrix(spec, warp.f(d))) * np.linalg.norm(
+                lag_matrix(spec, warp.f(-d))
+            )
+            assert f / n <= cond <= f, (d, cond, f)
 
     def test_rate_two_identities_pass(self, tmp_path):
         checks = cmd_tables(ExperimentConfig(warp=WarpSpec(rate=2.0), output_dir=str(tmp_path)))

@@ -1,7 +1,9 @@
 """Validation-experiment drivers behind the CLI.
 
-Each command builds its matrices, writes plot-ready CSV/JSON, and returns a
-list of Check results; the CLI exits nonzero if any check fails.
+Each command builds every figure and every Check, then makes the output
+directory and writes plot-ready CSV/JSON, and returns the Checks; the CLI
+exits nonzero if any check fails.  So a command refused on its input, or
+by an error raised while it runs, writes nothing, not even its directory.
 
 Orientation note, load-bearing for the comparisons below: a_delta and its
 correction shift the *basis* stack, while coefficient vectors transform
@@ -14,11 +16,12 @@ compared with, or run against, anything built from a_hippo.
 Every polynomial matrix here is built without quadrature: the generator
 a_gen as dM/dc at c = 1 of matrices.lag_matrix's M(c), a_delta
 as M(exp(delta / tau)), and the corrected transition as the forward shift
-matrices.exact_shift, c M(c) with c = exp(-delta / tau).  Only the default
-backward lagshift stays on the quadrature-built a_delta, checked against
-exact_shift at -delta, and FOH's log-weighted integral on the fixed 64x8
-QuadratureConfig() rule; no command setting changes it.  Every comparison
-is at rate tau: the reference pair is a_hippo / tau, b_hippo / tau.
+matrices.exact_shift, c M(c) with c = exp(-delta / tau).  Every backward
+lagshift, at any N, delta and tau, stays on the quadrature-built a_delta,
+checked against exact_shift at -delta, as does FOH's log-weighted
+integral; both use the fixed 64x8 QuadratureConfig() rule, which no
+command setting changes.  Every comparison is at rate tau: the reference
+pair is a_hippo / tau, b_hippo / tau.
 
 tables builds one step at a time: one a_gen, at the larger of N and the
 largest table2 size, serves all three tables through its leading blocks,
@@ -277,26 +280,18 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     return checks
 
 
-def _model_and_baseline(cfg: ExperimentConfig):
-    """The exact lag-operator recurrence with cfg.input_model's input vector(s)
-    and the Tustin-discretized reference, both in coefficient orientation."""
+def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
+    """Run the exact lag-operator recurrence, with cfg.input_model's input
+    vector(s), and the Tustin-discretized reference, both in coefficient
+    orientation, on one signal and compare their final-state
+    reconstructions (recon.csv, summary.json)."""
+    trace = make_signal(cfg)
     forward = exact_shift(cfg.basis, cfg.warp, cfg.delta)
     b_model = hold_vectors(forward, cfg.basis, cfg.warp, cfg.delta, cfg.input_model)
-    a_model = forward.T
     ref = hippo_legs_reference(cfg.n_basis)
     tau = cfg.warp.rate
     a_base, b_base = bilinear_discretize(ref.a_hippo / tau, ref.b_hippo / tau, cfg.delta)
-    return (a_model, b_model), (a_base, b_base)
-
-
-def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
-    """Run the exact and reference recurrences on one signal and compare
-    their final-state reconstructions (recon.csv, summary.json)."""
-    trace = make_signal(cfg)
-    (a_model, b_model), (a_base, b_base) = _model_and_baseline(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-
-    final_model = run(trace, a_model, b_model)[-1]
+    final_model = run(trace, forward.T, b_model)[-1]
     final_base = run(trace, a_base, b_base)[-1]
 
     # The history at s = t0 + x, seen x - L delta back: the figures do not depend on t0.
@@ -307,7 +302,11 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
     rec_base = final_base.coeffs @ phi
     omega = cfg.warp.f_prime(x - span)
     mse = float(np.mean((rec_model - rec_base) ** 2))
-
+    if not np.any(trace.values):
+        checks = [Check("reconstruction equivalence", mse == 0.0, f"zero signal, mse={mse!r}")]
+    else:
+        checks = [_within("reconstruction equivalence", "mse", mse, RECONSTRUCT_MSE_TOL)]
+    os.makedirs(cfg.output_dir, exist_ok=True)
     _write_table(
         os.path.join(cfg.output_dir, "recon.csv"),
         ["s", "u_model", "u_baseline", "omega"],
@@ -325,10 +324,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
     with open(os.path.join(cfg.output_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
-
-    if not np.any(trace.values):
-        return [Check("reconstruction equivalence", mse == 0.0, f"zero signal, mse={mse!r}")]
-    return [_within("reconstruction equivalence", "mse", mse, RECONSTRUCT_MSE_TOL)]
+    return checks
 
 
 def cmd_lagshift(
@@ -349,18 +345,12 @@ def cmd_lagshift(
         op = backward_shift(a_d, cfg.delta, rate=cfg.warp.rate)
     else:
         op = exact_shift(cfg.basis, cfg.warp, cfg.delta)
-    os.makedirs(cfg.output_dir, exist_ok=True)
 
     t_end = _DEFAULT_TOTAL_TIME if cfg.total_time is None else cfg.total_time
     s_grid = np.linspace(0.0, t_end, LAGSHIFT_GRID_POINTS)
     phi = phi_matrix(cfg.basis, cfg.warp.f(s_grid - t_end))
     original = phi[n_show]
     shifted = op[n_show] @ phi
-    _write_table(
-        os.path.join(cfg.output_dir, "lagshift.csv"),
-        ["s", "original", "shifted"],
-        np.column_stack([s_grid, original, shifted]),
-    )
     ok = bool(np.all(np.isfinite(shifted)))
     checks = [
         Check(
@@ -375,6 +365,12 @@ def cmd_lagshift(
         checks.append(
             _within(f"lagshift n={n_show} backward vs exact shift", "row err", err, TABLE1_TOL)
         )
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    _write_table(
+        os.path.join(cfg.output_dir, "lagshift.csv"),
+        ["s", "original", "shifted"],
+        np.column_stack([s_grid, original, shifted]),
+    )
     return checks
 
 
@@ -403,7 +399,8 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
         "quad_points": rule.points_per_panel,  # the fixed rule of the FOH term
         "quad_panels": rule.panels,
     }
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "matrices.json")
+    checks = [Check(name="matrices dump", ok=True, detail=path)]
+    os.makedirs(cfg.output_dir, exist_ok=True)
     save_matrices_json(path, arrays, meta)
-    return [Check(name="matrices dump", ok=True, detail=path)]
+    return checks

@@ -269,7 +269,9 @@ def correct_a_delta(
     an LU solve with partial pivoting; a condition estimate above
     max_condition raises NumericError (pass max_condition=None to force
     the solve anyway, e.g. for large-step sweeps that report conditioning).
+    An a_delta that is not a finite square matrix is an ArgumentError.
     """
+    a_delta = _finite_square(a_delta)
     if max_condition is not None:
         cond = float(np.linalg.cond(a_delta))
         if not np.isfinite(cond) or cond > max_condition:
@@ -343,16 +345,23 @@ _PADE13_B = (
 _EXPM_SCALE_TARGET = 0.5
 
 
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one square matrix by scaling-and-squaring with a
-    degree-13 diagonal Pade approximant (Higham, SIAM J. Matrix Anal. Appl.
-    26(4), 2005).
-    """
+def _finite_square(m) -> np.ndarray:
+    """m as a float array; an ArgumentError unless it is one finite square
+    matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ArgumentError("matrix has non-finite entries")
+    return m
+
+
+def matrix_exp(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one square matrix by scaling-and-squaring with a
+    degree-13 diagonal Pade approximant (Higham, SIAM J. Matrix Anal. Appl.
+    26(4), 2005).
+    """
+    m = _finite_square(m)
     norm = np.linalg.norm(m, 1)
     squarings = 0
     if norm > _EXPM_SCALE_TARGET:
@@ -391,13 +400,18 @@ def bilinear_discretize(
     a: np.ndarray, b: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tustin transform: ((I - d/2 a)^-1 (I + d/2 a), (I - d/2 a)^-1 d b)
-    for one step d = delta."""
+    for one step d = delta; a must be a finite square matrix and b a finite
+    vector of a's size."""
     if np.ndim(delta):
         raise ArgumentError(f"delta must be a scalar, got shape {np.shape(delta)}")
-    a = np.asarray(a, dtype=float)
+    a = _finite_square(a)
     b = np.asarray(b, dtype=float)
     d = float(delta)
     n = a.shape[0]
+    if b.shape != (n,):
+        raise ArgumentError(f"b must have shape ({n},) to match a, got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ArgumentError("b has non-finite entries")
     ident = np.eye(n)
     lhs = ident - 0.5 * d * a
     rhs = np.concatenate([ident + 0.5 * d * a, d * b[:, None]], axis=-1)

@@ -10,6 +10,7 @@ fixed summation order, so repeated builds are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -55,10 +56,10 @@ def gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     Nodes are the roots of P_k, found by Newton iteration from the
     Chebyshev initial guesses cos(pi (i - 1/4) / (k + 1/2)); weights are
     2 / ((1 - x^2) P'_k(x)^2).  Rules are cached per k and the returned
-    arrays are read-only.
+    arrays are read-only.  k must be an integer (numpy's included).
     """
-    if not (MIN_POINTS <= k <= MAX_POINTS):
-        raise ArgumentError(f"k must be in [{MIN_POINTS}, {MAX_POINTS}], got {k}")
+    if not isinstance(k, Integral) or not (MIN_POINTS <= k <= MAX_POINTS):
+        raise ArgumentError(f"k must be an integer in [{MIN_POINTS}, {MAX_POINTS}], got {k}")
     if k in _rule_cache:
         return _rule_cache[k]
 
@@ -101,20 +102,16 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig = QuadratureConfig()
     """Composite Gauss-Legendre estimate of the integral of fn over [a, b].
 
     Exact (to rounding) for polynomials of degree <= 2 * points_per_panel - 1.
+    fn is called on every node in order, then the rule is summed once.
     Raises ArgumentError naming the first abscissa where fn returns a
     non-finite value; panel_nodes rejects a > b.
     """
     if a == b:
         return 0.0
     nodes, weights = panel_nodes(a, b, cfg)
-    total = 0.0
-    k = cfg.points_per_panel
-    for p in range(cfg.panels):
-        sl = slice(p * k, (p + 1) * k)
-        vals = np.array([fn(z) for z in nodes[sl]], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = nodes[sl][~np.isfinite(vals)][0]
-            raise ArgumentError(f"integrand non-finite at z={float(bad)!r}")
-        total += float(np.dot(weights[sl], vals))
-    return total
+    vals = np.array([fn(z) for z in nodes], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        bad = nodes[~np.isfinite(vals)][0]
+        raise ArgumentError(f"integrand non-finite at z={float(bad)!r}")
+    return float(weights @ vals)
 

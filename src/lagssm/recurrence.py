@@ -150,14 +150,33 @@ def step(
     *,
     delta: float,
 ) -> MemoryState:
-    """One update c' = a c + (input contribution); time advances by delta."""
+    """One update c' = a c + (input contribution); time advances by delta.
+    a and b_model are checked as in run, and the state must be of a's size."""
+    a, columns = _operands(a, b_model)
+    if state.coeffs.shape != (a.shape[0],):
+        raise ArgumentError(f"state has shape {state.coeffs.shape}, a has shape {a.shape}")
     if not isinstance(b_model, FohVectors):
-        coeffs = a @ state.coeffs + np.asarray(b_model) * u_next
+        coeffs = a @ state.coeffs + columns[0] * u_next
     elif u_prev is None:
         raise ArgumentError("first-order-hold input needs u_prev")
     else:
-        coeffs = a @ state.coeffs + b_model.v_next * u_next + b_model.v_prev * u_prev
+        coeffs = a @ state.coeffs + columns[0] * u_next + columns[1] * u_prev
     return MemoryState(coeffs=coeffs, t=state.t + delta)
+
+
+def _operands(a, b_model) -> tuple[np.ndarray, list[np.ndarray]]:
+    """a as a float square matrix and b_model's vectors (one, or FOH's
+    v_next and v_prev) as float vectors of a's size; ArgumentError if not."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ArgumentError(f"a must be a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    columns = (b_model.v_next, b_model.v_prev) if isinstance(b_model, FohVectors) else (b_model,)
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    if any(col.shape != (n,) for col in columns):
+        shapes = [col.shape for col in columns]
+        raise ArgumentError(f"b_model vectors must have shape ({n},) to match a, got {shapes}")
+    return a, columns
 
 
 class Trajectory(Sequence):
@@ -367,16 +386,8 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     filled from one rolling power a^{j+1} (with a (K, N, m) kernel), not a
     stack of all K+1 powers.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ArgumentError(f"a must be a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    foh = isinstance(b_model, FohVectors)
-    columns = (b_model.v_next, b_model.v_prev) if foh else (b_model,)
-    columns = [np.asarray(col, dtype=float) for col in columns]
-    if any(col.shape != (n,) for col in columns):
-        shapes = [col.shape for col in columns]
-        raise ArgumentError(f"b_model vectors must have shape ({n},) to match a, got {shapes}")
+    a, columns = _operands(a, b_model)
+    n, foh = a.shape[0], isinstance(b_model, FohVectors)
     b = np.column_stack(columns)
 
     u = trace.values
@@ -423,7 +434,12 @@ def reconstruct(
     state: MemoryState, basis: BasisSpec, warp: WarpSpec, s_grid
 ) -> np.ndarray:
     """Evaluate sum_n c_n phi_n(sigma_t(s)) on the grid of history times;
-    a grid point after state.t raises ArgumentError."""
+    a grid point after state.t, or a state whose size is not
+    basis.n_basis, raises ArgumentError."""
+    if state.coeffs.size != basis.n_basis:
+        raise ArgumentError(
+            f"state has {state.coeffs.size} coefficients, basis has n_basis={basis.n_basis}"
+        )
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
     if np.any(s > state.t):
         raise ArgumentError(f"grid points must not exceed t={state.t}")

@@ -513,6 +513,17 @@ class TestRefusedCommands:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refusal_while_running_makes_no_directory(self, tmp_path, capsys):
+        """A refusal raised while the command runs, here at the recurrence's
+        first non-finite state, also leaves no --out directory."""
+        path = tmp_path / "huge.csv"
+        SignalTrace(np.full(300, 1.7e308), 0.01).to_csv(path)
+        out = tmp_path / "out"
+        argv = ["reconstruct", "--signal", f"csv:{path}", "--tau", "0.001", "--n", "8"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "coeffs must be finite: state 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("file_signal", [False, True], ids=["csv-flag", "csv-in-file"])
     def test_total_time_from_file_with_csv_signal_is_refused(
         self, tmp_path, capsys, file_signal

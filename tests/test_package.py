@@ -1,6 +1,10 @@
 """The package's public names."""
 
+import numpy as np
+import pytest
+
 import lagssm
+from lagssm import ArgumentError
 
 
 def test_all_names_resolve_and_are_unique():
@@ -8,3 +12,36 @@ def test_all_names_resolve_and_are_unique():
     missing = [name for name in lagssm.__all__ if not hasattr(lagssm, name)]
     assert missing == []
     assert len(lagssm.__all__) == 35
+
+
+BAD_OPERANDS = {
+    "bilinear-b-size": lambda: lagssm.bilinear_discretize(np.eye(3), np.ones(4), 0.1),
+    "bilinear-nan-a": lambda: lagssm.bilinear_discretize(np.full((3, 3), np.nan), np.ones(3), 0.1),
+    "bilinear-nan-b": lambda: lagssm.bilinear_discretize(
+        np.eye(3), np.array([1.0, np.nan, 1.0]), 0.1
+    ),
+    "correct-nan": lambda: lagssm.correct_a_delta(np.full((3, 3), np.nan), 0.1),
+    "correct-non-square": lambda: lagssm.correct_a_delta(np.ones((3, 4)), 0.1),
+    "step-state-size": lambda: lagssm.step(
+        lagssm.MemoryState(np.zeros(3), 0.0), np.eye(4), np.ones(4), 1.0, delta=0.1
+    ),
+    "step-b-size": lambda: lagssm.step(
+        lagssm.MemoryState(np.zeros(4), 0.0), np.eye(4), np.ones(3), 1.0, delta=0.1
+    ),
+    "reconstruct-state-size": lambda: lagssm.reconstruct(
+        lagssm.MemoryState(np.zeros(3), 1.0), lagssm.BasisSpec(4), lagssm.WarpSpec(), [0.5]
+    ),
+    "gauss-rule-float-k": lambda: lagssm.gauss_rule(3.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_OPERANDS.values(), ids=BAD_OPERANDS.keys())
+def test_bad_operand_is_an_argument_error(call):
+    """Bad input of any kind is an ArgumentError, not numpy's ValueError,
+    LinAlgError or TypeError, nor a nan result."""
+    with pytest.raises(ArgumentError):
+        call()
+
+
+def test_gauss_rule_takes_a_numpy_integer():
+    np.testing.assert_array_equal(lagssm.gauss_rule(np.int64(3))[0], lagssm.gauss_rule(3)[0])

@@ -4,7 +4,8 @@ phi_n(z) = sqrt(2n+1) * P_n(2z - 1), orthonormal under the plain Lebesgue
 inner product on (0, 1].  Arguments outside (0, 1] are allowed: the
 polynomials extend analytically, and the discrete-transition integrands
 evaluate them slightly beyond 1.  This is the one basis the package builds;
-matrices' lag_matrix and build_a_gen use its Jacobi matrix directly.
+matrices' lag_matrix and build_a_gen use its Jacobi matrix directly
+(jacobi_offdiagonal), and hippo_legs_reference its boundary_values.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def _legendre_stack(n: int, x: np.ndarray) -> np.ndarray:
 def boundary_values(spec: BasisSpec) -> np.ndarray:
     """phi_n(1) = sqrt(2n+1), closed form."""
     return np.sqrt(2.0 * np.arange(spec.n_basis) + 1.0)
+
+
+def jacobi_offdiagonal(spec: BasisSpec) -> np.ndarray:
+    """b_1..b_{N-1}, b_m = m / (2 sqrt(4m^2 - 1)): the off-diagonal of the
+    basis's Jacobi matrix J, z phi_m = b_{m+1} phi_{m+1} + phi_m / 2 +
+    b_m phi_{m-1}, closed form."""
+    m = np.arange(1.0, spec.n_basis)
+    return m / (2.0 * np.sqrt(4.0 * m * m - 1.0))
 
 
 def phi_matrix(spec: BasisSpec, z: np.ndarray) -> np.ndarray:

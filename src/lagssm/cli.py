@@ -17,21 +17,28 @@ from .experiments import (
 )
 from .matrices import INPUT_MODELS
 
-# Each common flag, the config key path it writes, and its argparse options.
+# Each config flag, the config key path it writes, the commands whose cmd_*
+# function reads that key, and its argparse options.  A command has only the
+# flags it reads, so any other is argparse's "unrecognized arguments".
 # --signal writes a dict of signal keys (see _signal_keys).
+_ALL = ("tables", "reconstruct", "lagshift", "matrices")
 _FLAGS = (
-    ("--n", ("n_basis",), dict(type=int, help="basis size")),
-    ("--delta", ("delta",), dict(type=float, help="time step")),
-    ("--total-time", ("total_time",), dict(type=float, help="signal duration")),
-    ("--tau", ("warp", "rate"), dict(type=float, help="warp rate")),
-    ("--input-model", ("input_model",), dict(choices=INPUT_MODELS, help="hold model")),
-    ("--signal", ("signal",),
-     dict(metavar="lorenz|sine|csv:PATH", help="input signal for the reconstruction command")),
-    ("--burn-in", ("signal", "burn_in"), dict(type=int, help="Lorenz burn-in steps")),
-    ("--normalize", ("signal", "normalize"),
+    ("--n", ("n_basis",), _ALL, dict(type=int, help="basis size")),
+    ("--delta", ("delta",), ("reconstruct", "lagshift", "matrices"),
+     dict(type=float, help="time step")),
+    ("--total-time", ("total_time",), ("reconstruct", "lagshift"),
+     dict(type=float, help="signal duration")),
+    ("--tau", ("warp", "rate"), _ALL, dict(type=float, help="warp rate")),
+    ("--input-model", ("input_model",), ("reconstruct", "matrices"),
+     dict(choices=INPUT_MODELS, help="hold model")),
+    ("--signal", ("signal",), ("reconstruct",),
+     dict(metavar="lorenz|sine|csv:PATH", help="input signal")),
+    ("--burn-in", ("signal", "burn_in"), ("reconstruct",),
+     dict(type=int, help="Lorenz burn-in steps")),
+    ("--normalize", ("signal", "normalize"), ("reconstruct",),
      dict(action=argparse.BooleanOptionalAction,
           help="affinely normalize the Lorenz trace (zero mean, unit max-abs)")),
-    ("--out", ("output_dir",), dict(metavar="DIR", help="output directory")),
+    ("--out", ("output_dir",), _ALL, dict(metavar="DIR", help="output directory")),
 )
 
 
@@ -42,12 +49,6 @@ def _signal_keys(value: str) -> dict:
     if value.startswith("csv:"):
         return {"kind": "csv", "csv_path": value[len("csv:"):]}
     raise ArgumentError(f"unknown signal {value!r}")
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    for flag, _, options in _FLAGS:
-        parser.add_argument(flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("matrices", "dump all matrices (matrices.json)"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--config", metavar="PATH", help="JSON config file")
+        for flag, _, commands, options in _FLAGS:
+            if name in commands:
+                p.add_argument(flag, **options)
         if name == "lagshift":
             p.add_argument("--n-show", type=int, help="basis index to shift")
             p.add_argument(
@@ -84,13 +88,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's JSON with every given flag written over it, built
-    and checked by ExperimentConfig.from_dict like a file alone."""
+    and checked by ExperimentConfig.from_dict like a file alone.  A flag
+    the command does not take is absent from args and reads as unset."""
     raw = {}
     if args.config:
         raw = read_json(args.config)
         ExperimentConfig.from_dict(raw)  # the file must be valid on its own
-    for flag, path, _ in _FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))
+    for flag, path, _, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
             _write(raw, path, _signal_keys(value) if flag == "--signal" else value)
     return ExperimentConfig.from_dict(raw)

@@ -180,6 +180,18 @@ class ExperimentConfig:
         return build(cls, raw, "config")
 
 
+def _make_output_dir(path: str) -> None:
+    """Make the output directory path, and its parents, if missing.  An
+    OSError there, such as a file already at path, is an ArgumentError
+    naming path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ArgumentError(
+            f"cannot make output directory {path!r}: [Errno {exc.errno}] {exc.strerror}"
+        ) from exc
+
+
 def make_signal(cfg: ExperimentConfig) -> SignalTrace:
     """Materialize the configured input trace with spacing cfg.delta."""
     if cfg.delta == 0.0:
@@ -270,7 +282,7 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
             detail="diffs " + ("strictly increase" if increasing else "do not increase"),
         )
     )
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     for name, header, rows in (
         ("table1.csv", ["delta", "diff"], rows1),
         ("table2.csv", ["n", "diff"], rows2),
@@ -306,7 +318,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
         checks = [Check("reconstruction equivalence", mse == 0.0, f"zero signal, mse={mse!r}")]
     else:
         checks = [_within("reconstruction equivalence", "mse", mse, RECONSTRUCT_MSE_TOL)]
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     _write_table(
         os.path.join(cfg.output_dir, "recon.csv"),
         ["s", "u_model", "u_baseline", "omega"],
@@ -365,7 +377,7 @@ def cmd_lagshift(
         checks.append(
             _within(f"lagshift n={n_show} backward vs exact shift", "row err", err, TABLE1_TOL)
         )
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     _write_table(
         os.path.join(cfg.output_dir, "lagshift.csv"),
         ["s", "original", "shifted"],
@@ -401,6 +413,6 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
     }
     path = os.path.join(cfg.output_dir, "matrices.json")
     checks = [Check(name="matrices dump", ok=True, detail=path)]
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     save_matrices_json(path, arrays, meta)
     return checks

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSpec, boundary_values, phi_matrix
+from .basis import BasisSpec, boundary_values, jacobi_offdiagonal, phi_matrix
 from .errors import ArgumentError, NumericError
 from .quadrature import QuadratureConfig, panel_nodes
 from .warp import WarpSpec
@@ -73,7 +73,7 @@ def build_a_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
     n / tau.
     """
     h = 2.0**-300
-    return _dilation(basis.n_basis, np.array(complex(1.0, h))).imag / (h * warp.rate)
+    return _dilation(basis, np.array(complex(1.0, h))).imag / (h * warp.rate)
 
 
 def build_b_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
@@ -87,11 +87,10 @@ def hippo_legs_reference(n_basis: int) -> HippoReference:
     a_hippo is lower triangular with diagonal -(n+1) and subdiagonal
     entries -sqrt((2n+1)(2m+1)); b_hippo has entries sqrt(2n+1).
     """
-    BasisSpec(n_basis=n_basis)  # the basis size check: an ArgumentError if out of range
-    n = np.arange(n_basis)
-    root = np.sqrt(2.0 * n + 1.0)
-    a0 = np.tril(np.outer(root, root), -1) + np.diag(n.astype(float))
-    return HippoReference(a_hippo=-(a0 + np.eye(n_basis)), b_hippo=root.copy())
+    # BasisSpec is the basis size check: an ArgumentError if out of range
+    root = boundary_values(BasisSpec(n_basis=n_basis))
+    a0 = np.tril(np.outer(root, root), -1) + np.diag(np.arange(n_basis, dtype=float))
+    return HippoReference(a_hippo=-(a0 + np.eye(n_basis)), b_hippo=root)
 
 
 def build_a_delta(
@@ -137,8 +136,8 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
 
     Built without quadrature.  Column m holds the coefficients of
     phi_m(c z), and the orthonormal three-term recurrence
-    z phi_m = b_{m+1} phi_{m+1} + phi_m / 2 + b_m phi_{m-1}, with
-    b_m = m / (2 sqrt(4m^2 - 1)), gives column m+1 from columns m and m-1
+    z phi_m = b_{m+1} phi_{m+1} + phi_m / 2 + b_m phi_{m-1}, with b_m
+    from basis.jacobi_offdiagonal, gives column m+1 from columns m and m-1
     with z replaced by c J, J the basis's tridiagonal Jacobi matrix.  No
     column below N reaches phi_N, so the result is exact in the truncated
     space: upper triangular with exact zeros below the diagonal, diagonal
@@ -165,7 +164,7 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
         raise ArgumentError(f"{where} must be a positive finite real, got {stack[i]}")
     n = basis.n_basis
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        m = _dilation(n, cs)
+        m = _dilation(basis, cs)
     finite = np.isfinite(m).all(axis=(-2, -1)).reshape(-1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -175,11 +174,11 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
     return m
 
 
-def _dilation(n: int, cs: np.ndarray) -> np.ndarray:
+def _dilation(basis: BasisSpec, cs: np.ndarray) -> np.ndarray:
     """lag_matrix's recurrence for the 0-d or 1-D array cs, real or complex:
-    M(c) of size n for each c, in cs's dtype, unchecked."""
-    k = np.arange(1.0, n)
-    b = k / (2.0 * np.sqrt(4.0 * k * k - 1.0))  # entry m - 1 is b_m
+    M(c) of size N for each c, in cs's dtype, unchecked."""
+    n = basis.n_basis
+    b = jacobi_offdiagonal(basis)  # entry m - 1 is b_m
     cb = np.multiply.outer(b, cs)
     # c J - 1/2 = c (J - 1/2) + (c - 1) / 2: J's diagonal 1/2 never meets
     # the -1/2, so nothing cancels near c = 1 and M(1) is I exactly.

@@ -565,8 +565,10 @@ class TestRefusedCommands:
     @pytest.mark.parametrize(
         "argv, shown",
         [
-            (["reconstruct", "--signal", "sine", "--delta", "800"], "exp(-800) is 0.0"),
-            (["lagshift", "--direction", "forward", "--delta", "800"], "exp(-800) is 0.0"),
+            (["reconstruct", "--signal", "sine", "--delta", "800", "--total-time", "2000"],
+             "exp(-800) is 0.0"),
+            (["lagshift", "--direction", "forward", "--delta", "800", "--total-time", "2000"],
+             "exp(-800) is 0.0"),
             (["matrices", "--delta", "720"], "exp(720) is inf"),
             (["tables", "--tau", "0.0001"], "exp(1000) is inf"),
         ],
@@ -576,11 +578,29 @@ class TestRefusedCommands:
         """A step whose exponential leaves float range names delta/tau, with
         no RuntimeWarning (pytest makes one an error), and writes nothing."""
         out = tmp_path / "out"
-        assert main([*argv, "--total-time", "2000", "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: delta/tau=") and shown in err
         assert "RuntimeWarning" not in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["tables", "reconstruct", "lagshift", "matrices"])
+    @pytest.mark.parametrize(
+        "under, errno_shown",
+        [("", "[Errno 17] File exists"), ("sub", "[Errno 20] Not a directory")],
+        ids=["the-file", "under-the-file"],
+    )
+    def test_out_naming_a_file_is_named(self, tmp_path, capsys, command, under, errno_shown):
+        """--out at, or under, an existing file is an error that names the
+        path, exit 2, and leaves the file as it was."""
+        path = tmp_path / "out"
+        path.write_text("kept\n")
+        out = str(path / under) if under else str(path)
+        assert main([command, "--n", "8", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot make output directory {out!r}: {errno_shown}\n"
+        assert path.read_text() == "kept\n"
 
 
 class TestParserReuse:

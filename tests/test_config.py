@@ -207,7 +207,7 @@ def test_flags_do_not_mend_a_bad_file(tmp_path, capsys, content, flags, named):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(content))
     out = tmp_path / "out"
-    code = main(["matrices", "--config", str(cfg_path), "--out", str(out), *flags])
+    code = main(["reconstruct", "--config", str(cfg_path), "--out", str(out), *flags])
     assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
@@ -286,13 +286,63 @@ def test_removed_warp_flag_is_a_usage_error(tmp_path, monkeypatch, capsys):
 
 
 def test_readme_synopsis_lists_every_flag():
-    documented = set(re.findall(r"--[a-z][a-z-]*", _readme_block("## CLI")))
+    """Each command's synopsis lines in README name exactly the flags of
+    that command's own subparser."""
+    documented = {}
+    for line in _readme_block("## CLI").splitlines():
+        if line.startswith("lagssm "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     parsed = {
-        opt
-        for p in sub.choices.values()
-        for action in p._actions
-        for opt in action.option_strings
-        if opt.startswith("--") and opt != "--help"
+        name: {
+            opt
+            for action in p._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        for name, p in sub.choices.items()
     }
     assert documented == parsed
+
+
+# Each command flag with a value it parses, and the flags each command
+# reads, written out apart from cli._FLAGS.
+FLAG_VALUES = {
+    "--config": ["cfg.json"],
+    "--n": ["8"],
+    "--delta": ["0.3"],
+    "--total-time": ["3"],
+    "--tau": ["2"],
+    "--input-model": ["foh"],
+    "--signal": ["sine"],
+    "--burn-in": ["7"],
+    "--normalize": [],
+    "--out": ["out"],
+    "--n-show": ["3"],
+    "--direction": ["forward"],
+}
+READS = {
+    "tables": {"--config", "--n", "--tau", "--out"},
+    "lagshift": {"--config", "--n", "--delta", "--total-time", "--tau", "--out",
+                 "--n-show", "--direction"},
+    "matrices": {"--config", "--n", "--delta", "--tau", "--input-model", "--out"},
+    "reconstruct": set(FLAG_VALUES) - {"--n-show", "--direction"},
+}
+
+
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+@pytest.mark.parametrize("command", list(READS))
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, monkeypatch, capsys, command, flag):
+    """A flag the command reads parses; any other is argparse's usage
+    error, exit 2, that names the flag and writes nothing."""
+    argv = [command, flag, *FLAG_VALUES[flag]]
+    if flag in READS[command]:
+        assert build_parser().parse_args(argv).command == command
+        return
+    monkeypatch.chdir(tmp_path)  # where output_dir's default "out" would land
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

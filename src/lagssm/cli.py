@@ -17,12 +17,21 @@ from .experiments import (
 )
 from .matrices import INPUT_MODELS
 
-# Each config flag, the config key path it writes, the commands whose cmd_*
-# function reads that key, and its argparse options.  A command has only the
-# flags it reads, so any other is argparse's "unrecognized arguments".
-# --signal writes a dict of signal keys (see _signal_keys).
-_ALL = ("tables", "reconstruct", "lagshift", "matrices")
+# Each command's cmd_* function and help text.
+_COMMANDS = {
+    "tables": (cmd_tables, "matrix-equivalence sweeps (table1/2/3.csv)"),
+    "reconstruct": (cmd_reconstruct, "compare exact and reference recurrences (recon.csv)"),
+    "lagshift": (cmd_lagshift, "shift one basis function (lagshift.csv)"),
+    "matrices": (cmd_matrices, "dump all matrices (matrices.json)"),
+}
+_ALL = tuple(_COMMANDS)
+
+# Each flag, the config key path it writes (None for a flag that sets no
+# key), the commands that read it, and its argparse options.  A command has
+# only the flags it reads, so any other is argparse's "unrecognized
+# arguments".  --signal writes a dict of signal keys (see _signal_keys).
 _FLAGS = (
+    ("--config", None, _ALL, dict(metavar="PATH", help="JSON config file")),
     ("--n", ("n_basis",), _ALL, dict(type=int, help="basis size")),
     ("--delta", ("delta",), ("reconstruct", "lagshift", "matrices"),
      dict(type=float, help="time step")),
@@ -39,6 +48,9 @@ _FLAGS = (
      dict(action=argparse.BooleanOptionalAction,
           help="affinely normalize the Lorenz trace (zero mean, unit max-abs)")),
     ("--out", ("output_dir",), _ALL, dict(metavar="DIR", help="output directory")),
+    ("--n-show", None, ("lagshift",), dict(type=int, help="basis index to shift")),
+    ("--direction", None, ("lagshift",),
+     dict(choices=["forward", "backward"], default="backward", help="shift direction")),
 )
 
 
@@ -58,25 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
         "validation experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("tables", "matrix-equivalence sweeps (table1/2/3.csv)"),
-        ("reconstruct", "compare exact and reference recurrences (recon.csv)"),
-        ("lagshift", "shift one basis function (lagshift.csv)"),
-        ("matrices", "dump all matrices (matrices.json)"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
         for flag, _, commands, options in _FLAGS:
             if name in commands:
                 p.add_argument(flag, **options)
-        if name == "lagshift":
-            p.add_argument("--n-show", type=int, help="basis index to shift")
-            p.add_argument(
-                "--direction",
-                choices=["forward", "backward"],
-                default="backward",
-                help="shift direction",
-            )
     return parser
 
 
@@ -96,7 +94,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         ExperimentConfig.from_dict(raw)  # the file must be valid on its own
     for flag, path, _, _ in _FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None:
+        if path is not None and value is not None:
             _write(raw, path, _signal_keys(value) if flag == "--signal" else value)
     return ExperimentConfig.from_dict(raw)
 
@@ -118,14 +116,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if args.command == "tables":
-            checks = cmd_tables(cfg)
-        elif args.command == "reconstruct":
-            checks = cmd_reconstruct(cfg)
-        elif args.command == "lagshift":
-            checks = cmd_lagshift(cfg, n_show=args.n_show, direction=args.direction)
-        else:
-            checks = cmd_matrices(cfg)
+        command, _ = _COMMANDS[args.command]
+        if args.command == "lagshift":
+            command = functools.partial(command, n_show=args.n_show, direction=args.direction)
+        checks = command(cfg)
     except LagssmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Validation-experiment drivers behind the CLI.
 
-Each command builds every figure and every Check, then makes the output
-directory and writes plot-ready CSV/JSON, and returns the Checks; the CLI
-exits nonzero if any check fails.  So a command refused on its input, or
-by an error raised while it runs, writes nothing, not even its directory.
+Each command builds every figure and every Check, then writes its
+plot-ready CSV/JSON through _write_outputs, the one place a command writes,
+and returns the Checks; the CLI exits nonzero if any check fails.  So a
+command refused on its input, or by an error raised while it runs, writes
+nothing, not even its directory.
 
 Orientation note, load-bearing for the comparisons below: a_delta and its
 correction shift the *basis* stack, while coefficient vectors transform
@@ -126,6 +127,8 @@ class SignalConfig:
             )
         if self.kind == "csv" and not self.csv_path:
             raise ArgumentError("signal kind 'csv' needs a csv_path")
+        if "\0" in (self.csv_path or ""):
+            raise ArgumentError(f"signal csv_path must have no NUL, got {self.csv_path!r}")
         if self.burn_in < 0:
             raise ArgumentError(
                 f"signal burn_in must be a nonnegative integer, got {self.burn_in!r}"
@@ -160,8 +163,10 @@ class ExperimentConfig:
                 "total_time cannot be set with signal kind 'csv': "
                 "the file's samples set the span"
             )
-        if not self.output_dir:
-            raise ArgumentError("output_dir must be a nonempty path")
+        if not self.output_dir or "\0" in self.output_dir:
+            raise ArgumentError(
+                f"config output_dir must be a nonempty path without NUL, got {self.output_dir!r}"
+            )
         BasisSpec(n_basis=self.n_basis)  # checks n_basis now, not at first use
 
     @property
@@ -180,16 +185,27 @@ class ExperimentConfig:
         return build(cls, raw, "config")
 
 
-def _make_output_dir(path: str) -> None:
-    """Make the output directory path, and its parents, if missing.  An
-    OSError there, such as a file already at path, is an ArgumentError
-    naming path."""
+def _write_outputs(out_dir: str, files: dict) -> None:
+    """Make out_dir, and its parents, if missing, then write each file in
+    order: name -> (writer, *content) calls writer(out_dir/name, *content).
+    An OSError is an ArgumentError naming the directory (a file already at
+    out_dir, say) or the file that failed; files written before it stay."""
+    what = f"make output directory {out_dir!r}"
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
+        for name, (writer, *content) in files.items():
+            path = os.path.join(out_dir, name)
+            what = f"write {path!r}"
+            writer(path, *content)
     except OSError as exc:
-        raise ArgumentError(
-            f"cannot make output directory {path!r}: [Errno {exc.errno}] {exc.strerror}"
-        ) from exc
+        raise ArgumentError(f"cannot {what}: [Errno {exc.errno}] {exc.strerror}") from exc
+
+
+def _write_json(path, obj) -> None:
+    """obj in json.dump(indent=1)'s layout, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
 
 
 def make_signal(cfg: ExperimentConfig) -> SignalTrace:
@@ -282,13 +298,11 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
             detail="diffs " + ("strictly increase" if increasing else "do not increase"),
         )
     )
-    _make_output_dir(cfg.output_dir)
-    for name, header, rows in (
-        ("table1.csv", ["delta", "diff"], rows1),
-        ("table2.csv", ["n", "diff"], rows2),
-        ("table3.csv", ["delta", "diff", "diff_exact_exp", "cond_a_delta"], rows3),
-    ):
-        _write_table(os.path.join(cfg.output_dir, name), header, rows)
+    _write_outputs(cfg.output_dir, {
+        "table1.csv": (_write_table, ["delta", "diff"], rows1),
+        "table2.csv": (_write_table, ["n", "diff"], rows2),
+        "table3.csv": (_write_table, ["delta", "diff", "diff_exact_exp", "cond_a_delta"], rows3),
+    })
     return checks
 
 
@@ -318,12 +332,6 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
         checks = [Check("reconstruction equivalence", mse == 0.0, f"zero signal, mse={mse!r}")]
     else:
         checks = [_within("reconstruction equivalence", "mse", mse, RECONSTRUCT_MSE_TOL)]
-    _make_output_dir(cfg.output_dir)
-    _write_table(
-        os.path.join(cfg.output_dir, "recon.csv"),
-        ["s", "u_model", "u_baseline", "omega"],
-        np.column_stack([trace.t0 + x, rec_model, rec_base, omega]),
-    )
     summary = {
         "mse": mse,
         "n_basis": cfg.n_basis,
@@ -333,9 +341,11 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
         "normalized": cfg.signal.kind == "lorenz" and cfg.signal.normalize,
         "samples": int(trace.values.size),
     }
-    with open(os.path.join(cfg.output_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    table = np.column_stack([trace.t0 + x, rec_model, rec_base, omega])
+    _write_outputs(cfg.output_dir, {
+        "recon.csv": (_write_table, ["s", "u_model", "u_baseline", "omega"], table),
+        "summary.json": (_write_json, summary),
+    })
     return checks
 
 
@@ -377,12 +387,10 @@ def cmd_lagshift(
         checks.append(
             _within(f"lagshift n={n_show} backward vs exact shift", "row err", err, TABLE1_TOL)
         )
-    _make_output_dir(cfg.output_dir)
-    _write_table(
-        os.path.join(cfg.output_dir, "lagshift.csv"),
-        ["s", "original", "shifted"],
-        np.column_stack([s_grid, original, shifted]),
-    )
+    table = np.column_stack([s_grid, original, shifted])
+    _write_outputs(cfg.output_dir, {
+        "lagshift.csv": (_write_table, ["s", "original", "shifted"], table),
+    })
     return checks
 
 
@@ -413,6 +421,5 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
     }
     path = os.path.join(cfg.output_dir, "matrices.json")
     checks = [Check(name="matrices dump", ok=True, detail=path)]
-    _make_output_dir(cfg.output_dir)
-    save_matrices_json(path, arrays, meta)
+    _write_outputs(cfg.output_dir, {"matrices.json": (save_matrices_json, arrays, meta)})
     return checks

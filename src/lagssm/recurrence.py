@@ -91,7 +91,7 @@ class SignalTrace:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
-        except (OSError, UnicodeError, csv.Error) as exc:
+        except (OSError, ValueError, csv.Error) as exc:
             raise ArgumentError(f"cannot read signal file {str(path)!r}: {exc}") from exc
         if rows and rows[0][1][:2] == ["t", "u"]:
             rows = rows[1:]

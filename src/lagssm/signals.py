@@ -114,20 +114,18 @@ def sine_mixture(freqs, amps, phases, delta: float, steps: int) -> SignalTrace:
 def zoh_function(trace: SignalTrace):
     """Piecewise-constant extension: sample k holds on [t0 + k delta, t0 + (k+1) delta).
 
-    Returns 0 before the trace starts and after it ends; interval boundaries
-    are right-continuous (a point exactly at t0 + k delta reads sample k).
+    The boundaries are the grid's own times t0 + k * delta, as computed by
+    trace.times, so a point exactly at one reads sample k and the float
+    just below it sample k - 1 (right-continuous).  Returns 0 before the
+    trace starts and from t0 + m * delta on, for m samples.
     """
-    t0, delta, values = trace.t0, trace.delta, trace.values
+    values = trace.values
     m = values.size
+    edges = trace.t0 + trace.delta * np.arange(m + 1)
 
     def u(s):
-        s_arr = np.asarray(s, dtype=float)
-        idx = np.floor((s_arr - t0) / delta).astype(int)
-        # Division can land an on-grid point an ulp below its boundary;
-        # bump it so boundaries stay right-continuous.
-        idx = np.where(s_arr >= t0 + (idx + 1) * delta, idx + 1, idx)
-        inside = (s_arr >= t0) & (idx < m)
-        out = np.where(inside, values[np.clip(idx, 0, m - 1)], 0.0)
+        idx = np.searchsorted(edges, s, side="right") - 1
+        out = np.where((idx >= 0) & (idx < m), values[np.clip(idx, 0, m - 1)], 0.0)
         return float(out) if np.ndim(s) == 0 else out
 
     return u

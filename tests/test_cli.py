@@ -602,6 +602,40 @@ class TestRefusedCommands:
         assert err == f"error: cannot make output directory {out!r}: {errno_shown}\n"
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "command, first",
+        [("tables", "table1.csv"), ("reconstruct", "recon.csv"),
+         ("lagshift", "lagshift.csv"), ("matrices", "matrices.json")],
+    )
+    def test_failed_write_is_named(self, tmp_path, capsys, command, first):
+        """A write that fails after --out is made, here at a directory in
+        the place of the command's first file, names that file, exit 2."""
+        out = tmp_path / "out"
+        (out / first).mkdir(parents=True)
+        assert main([command, "--n", "8", "--out", str(out)]) == 2
+        path = str(out / first)
+        err = f"error: cannot write {path!r}: [Errno 21] Is a directory\n"
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "command, raw, named",
+        [("tables", {"output_dir": "a\0b"}, "config output_dir"),
+         ("reconstruct", {"signal": {"kind": "csv", "csv_path": "a\0b"}}, "signal csv_path")],
+        ids=["output_dir", "csv_path"],
+    )
+    def test_nul_byte_in_path_field_is_named(
+        self, tmp_path, monkeypatch, capsys, command, raw, named
+    ):
+        """A path field no file can have is refused by the config check:
+        exit 2 naming the section and field, and nothing written."""
+        monkeypatch.chdir(tmp_path)  # where output_dir's default "out" would land
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must ") and "'a\\x00b'" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestParserReuse:
     def test_no_option_leaks_between_calls(self, tmp_path, capsys):

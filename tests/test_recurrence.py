@@ -358,6 +358,11 @@ class TestSignalTrace:
             with pytest.raises(ArgumentError, match=f"bad.csv' row {row}: times must be"):
                 SignalTrace.from_csv(path)
 
+    def test_nul_byte_in_path_is_named(self):
+        """A path no file can have is refused like one that cannot be read."""
+        with pytest.raises(ArgumentError, match=r"cannot read signal file 'a\\x00b': "):
+            SignalTrace.from_csv("a\0b")
+
     def test_csv_round_trip(self, tmp_path):
         trace = SignalTrace(np.array([0.5, -1.25, 3.0]), delta=0.25)
         path = tmp_path / "trace.csv"

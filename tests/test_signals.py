@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagssm import (
@@ -228,6 +228,25 @@ class TestZohFunction:
         trace = SignalTrace(np.array([1.0, 2.0]), delta=1.0)
         u = zoh_function(trace)
         np.testing.assert_array_equal(u(np.array([-0.5, 0.5, 1.5, 2.5])), [0.0, 1.0, 2.0, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t0=st.floats(-1e3, 1e3),
+        delta=st.floats(1e-3, 1.0),
+        m=st.integers(1, 60),
+        k=st.integers(0, 59),
+    )
+    @example(t0=0.0, delta=0.01, m=50, k=41)  # 0.41 sits one ulp below times[41]
+    def test_boundaries_are_the_grid_times(self, t0, delta, m, k):
+        """Sample k holds from times[k] on, and the float just below it
+        still reads sample k - 1 (0 before the trace); the trace ends at
+        t0 + m * delta."""
+        k %= m
+        trace = SignalTrace(np.arange(1.0, m + 1.0), delta=delta, t0=t0)
+        u, at = zoh_function(trace), trace.times[k]
+        assert u(at) == trace.values[k]
+        assert u(np.nextafter(at, -np.inf)) == (trace.values[k - 1] if k else 0.0)
+        assert u(t0 + m * delta) == 0.0
 
 
 def test_normalize_trace():

@@ -2,9 +2,10 @@
 its annotation names.
 
 `float` is a finite real number and not a bool, `int` an integer and not a
-bool; `bool`, `str`, `X | None`, tuples of floats and nested config
-dataclasses follow from the annotations, resolved once per class.  Range
-checks stay in each class's __post_init__.
+bool, `FilePath` a nonempty string without NUL; `bool`, `str`, `X | None`,
+tuples of floats, nested config dataclasses and unions of them (see build)
+follow from the annotations, resolved once per class.  Range checks stay
+in each class's __post_init__.
 """
 
 from __future__ import annotations
@@ -29,20 +30,31 @@ def finite_real(v) -> bool:
         return False
 
 
+FilePath = typing.NewType("FilePath", str)
+
 _SCALARS = {
     float: (finite_real, "a finite real number"),
     int: (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
+    FilePath: (lambda v: isinstance(v, str) and v != "" and "\0" not in v,
+               "a nonempty path without NUL"),
 }
+
+
+def _sections(hint) -> tuple:
+    """The config dataclasses a field of this annotation holds: hint, or
+    each member of a union of them; none for any other annotation."""
+    classes = typing.get_args(hint) or (hint,)
+    return classes if all(map(dataclasses.is_dataclass, classes)) else ()
 
 
 def _kind(hint) -> tuple:
     """(test, description) of one resolved annotation."""
     if hint in _SCALARS:
         return _SCALARS[hint]
-    if dataclasses.is_dataclass(hint):
-        return (lambda v: isinstance(v, hint)), f"a {hint.__name__}"
+    if classes := _sections(hint):
+        return (lambda v: isinstance(v, classes)), " or ".join(f"a {c.__name__}" for c in classes)
     args = typing.get_args(hint)
     test, what = _kind(args[0])
     if type(None) in args:  # X | None
@@ -73,9 +85,18 @@ def check_fields(obj, section: str) -> None:
 def build(cls, raw, section: str):
     """cls from parsed JSON: raw must be an object whose keys name fields of
     cls; an object under a config-dataclass field builds that class, and a
-    list under a tuple field becomes a tuple.  cls checks the values."""
+    list under a tuple field becomes a tuple.  cls checks the values.  For
+    a union, whose members each have a class attribute `kind`, raw's
+    `kind` key picks the member (the first when absent), and only the
+    member's own fields may follow."""
     if not isinstance(raw, dict):
         raise ArgumentError(f"{section} must be a JSON object, got {raw!r}")
+    if len(classes := _sections(cls)) > 1:
+        members = {c.kind: c for c in classes}
+        kind = raw.get("kind", classes[0].kind)
+        if not isinstance(kind, str) or kind not in members:
+            raise ArgumentError(f"unknown {section} kind {kind!r}; expected one of {list(members)}")
+        cls, raw = members[kind], {key: v for key, v in raw.items() if key != "kind"}
     kinds = _fields(cls)
     unknown = [key for key in raw if key not in kinds]
     if unknown:
@@ -85,7 +106,7 @@ def build(cls, raw, section: str):
     kwargs = dict(raw)
     for key, value in raw.items():
         hint = kinds[key][0]
-        if dataclasses.is_dataclass(hint):
+        if _sections(hint):
             kwargs[key] = build(hint, value, key)
         elif isinstance(value, list) and typing.get_origin(hint) is tuple:
             kwargs[key] = tuple(value)

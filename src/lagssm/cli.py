@@ -57,7 +57,7 @@ _FLAGS = (
 def _signal_keys(value: str) -> dict:
     """--signal lorenz|sine|csv:PATH as keys of the signal section."""
     if value in ("lorenz", "sine"):
-        return {"kind": value, "csv_path": None}
+        return {"kind": value}
     if value.startswith("csv:"):
         return {"kind": "csv", "csv_path": value[len("csv:"):]}
     raise ArgumentError(f"unknown signal {value!r}")

@@ -37,10 +37,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from ._schema import build, check_fields, read_json
+from ._schema import FilePath, build, check_fields, read_json
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import (
@@ -75,7 +76,6 @@ TABLE2_TOL = 1e-10
 RECONSTRUCT_MSE_TOL = 1e-5
 LAGSHIFT_GRID_POINTS = 500
 RECON_GRID_POINTS = 1000
-SIGNAL_KINDS = ("lorenz", "sine", "csv")
 _DEFAULT_TOTAL_TIME = 10.0  # what an unset total_time reads as
 
 
@@ -97,42 +97,54 @@ def _within(name: str, label: str, value: float, tol: float) -> Check:
 
 
 @dataclass(frozen=True)
-class SignalConfig:
-    """Input-signal descriptor for the reconstruction command.
+class LorenzSignal:
+    """The Lorenz63 x-trace from x0, the default signal, transient kept and
+    affinely normalized: the exact-vs-Tustin gap that reconstruct checks
+    scales with amplitude squared, so it is checked on unit-scale signals."""
 
-    The default Lorenz trace keeps the transient from x0 (burn_in=0) and is
-    affinely normalized: the comparison below measures the gap between an
-    exact and a Tustin-discretized recurrence, which scales with signal
-    amplitude squared, so the equivalence check is defined on unit-scale
-    signals.  Raw attractor traces are available via burn_in/normalize.
-    """
-
-    kind: str = "lorenz"
+    kind: ClassVar[str] = "lorenz"
     sigma: float = 10.0
     rho: float = 28.0
     beta: float = 8.0 / 3.0
     x0: tuple[float, float, float] = (1.0, 1.0, 1.0)
     burn_in: int = 0
     normalize: bool = True
-    freqs: tuple[float, ...] = (0.5,)
-    amps: tuple[float, ...] = (1.0,)
-    phases: tuple[float, ...] = (0.0,)
-    csv_path: str | None = None
 
     def __post_init__(self):
         check_fields(self, "signal")
-        if self.kind not in SIGNAL_KINDS:
-            raise ArgumentError(
-                f"unknown signal kind {self.kind!r}; expected one of {list(SIGNAL_KINDS)}"
-            )
-        if self.kind == "csv" and not self.csv_path:
-            raise ArgumentError("signal kind 'csv' needs a csv_path")
-        if "\0" in (self.csv_path or ""):
-            raise ArgumentError(f"signal csv_path must have no NUL, got {self.csv_path!r}")
         if self.burn_in < 0:
-            raise ArgumentError(
-                f"signal burn_in must be a nonnegative integer, got {self.burn_in!r}"
-            )
+            raise ArgumentError(f"signal burn_in must be a nonnegative integer, got {self.burn_in}")
+
+
+@dataclass(frozen=True)
+class SineSignal:
+    """sum_i amps[i] sin(2 pi freqs[i] t + phases[i]), by signals.sine_mixture."""
+
+    kind: ClassVar[str] = "sine"
+    freqs: tuple[float, ...] = (0.5,)
+    amps: tuple[float, ...] = (1.0,)
+    phases: tuple[float, ...] = (0.0,)
+
+    def __post_init__(self):
+        check_fields(self, "signal")
+        lengths = [len(self.freqs), len(self.amps), len(self.phases)]
+        if len(set(lengths)) > 1:
+            raise ArgumentError(f"signal freqs, amps and phases differ in length: {lengths}")
+
+
+@dataclass(frozen=True)
+class CsvSignal:
+    """The t,u samples of a file, by SignalTrace.from_csv; they set the span."""
+
+    kind: ClassVar[str] = "csv"
+    csv_path: FilePath = ""
+
+    def __post_init__(self):
+        check_fields(self, "signal")
+
+
+# reconstruct's input signal: one section per kind; signal.kind picks it.
+SignalConfig = LorenzSignal | SineSignal | CsvSignal
 
 
 @dataclass(frozen=True)
@@ -148,8 +160,8 @@ class ExperimentConfig:
     total_time: float | None = None
     warp: WarpSpec = field(default_factory=WarpSpec)
     input_model: str = ZOH
-    signal: SignalConfig = field(default_factory=SignalConfig)
-    output_dir: str = "out"
+    signal: SignalConfig = field(default_factory=LorenzSignal)
+    output_dir: FilePath = "out"
 
     def __post_init__(self):
         check_fields(self, "config")
@@ -158,14 +170,10 @@ class ExperimentConfig:
         # operator; signal-driven commands reject it when they divide by it.
         if self.delta < 0.0 or (self.total_time is not None and self.total_time <= 0.0):
             raise ArgumentError("delta must be nonnegative and total_time positive")
-        if self.signal.kind == "csv" and self.total_time is not None:
+        if isinstance(self.signal, CsvSignal) and self.total_time is not None:
             raise ArgumentError(
                 "total_time cannot be set with signal kind 'csv': "
                 "the file's samples set the span"
-            )
-        if not self.output_dir or "\0" in self.output_dir:
-            raise ArgumentError(
-                f"config output_dir must be a nonempty path without NUL, got {self.output_dir!r}"
             )
         BasisSpec(n_basis=self.n_basis)  # checks n_basis now, not at first use
 
@@ -213,7 +221,7 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
     if cfg.delta == 0.0:
         raise ArgumentError("signal generation needs a positive delta")
     sig = cfg.signal
-    if sig.kind == "csv":
+    if isinstance(sig, CsvSignal):
         trace = SignalTrace.from_csv(sig.csv_path)
         span = trace.values.size - 1  # the two grids part most at the last sample
         if abs(trace.delta - cfg.delta) * span > _grid_slack(trace.t0, trace.t0 + span * cfg.delta):
@@ -228,19 +236,12 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
             f"total_time={total_time} is under half of delta={cfg.delta}, "
             "so the signal has no samples"
         )
-    if sig.kind == "lorenz":
-        params = LorenzParams(
-            sigma=sig.sigma,
-            rho=sig.rho,
-            beta=sig.beta,
-            x0=sig.x0,
-            dt=cfg.delta,
-            steps=steps,
-            burn_in=sig.burn_in,
-        )
-        trace = lorenz63(params)
-        return normalize_trace(trace) if sig.normalize else trace
-    return sine_mixture(sig.freqs, sig.amps, sig.phases, cfg.delta, steps)
+    if isinstance(sig, SineSignal):
+        return sine_mixture(sig.freqs, sig.amps, sig.phases, cfg.delta, steps)
+    params = LorenzParams(sigma=sig.sigma, rho=sig.rho, beta=sig.beta, x0=sig.x0,
+                          dt=cfg.delta, steps=steps, burn_in=sig.burn_in)
+    trace = lorenz63(params)
+    return normalize_trace(trace) if sig.normalize else trace
 
 
 def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
@@ -338,7 +339,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
         "delta": cfg.delta,
         "total_time": span,
         "signal": cfg.signal.kind,
-        "normalized": cfg.signal.kind == "lorenz" and cfg.signal.normalize,
+        "normalized": isinstance(cfg.signal, LorenzSignal) and cfg.signal.normalize,
         "samples": int(trace.values.size),
     }
     table = np.column_stack([trace.t0 + x, rec_model, rec_base, omega])

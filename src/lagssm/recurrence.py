@@ -11,6 +11,7 @@ project_direct is the offline oracle for exactly that quantity.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -71,6 +72,17 @@ class SignalTrace:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "t0", float(self.t0))
+        # Each time t0 + k delta rounds to within an ulp of the largest |t|.
+        # A delta above twice _grid_slack (8 ulps) keeps neighbours distinct
+        # and the +-_grid_slack windows that from_csv allows around them
+        # apart; the final state sits at t0 + L delta, which must be finite.
+        t_end = self.t0 + v.size * self.delta
+        if not (math.isfinite(t_end) and self.delta > 2.0 * _grid_slack(self.t0, t_end)):
+            raise ArgumentError(
+                f"delta={self.delta} at t0={self.t0} gives sample times that are not distinct "
+                "and finite: delta must exceed 8 ulps of the largest |time|, and "
+                f"t0 + {v.size} * delta must be finite"
+            )
 
     @property
     def times(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from lagssm.experiments import (
     TABLE2_SIZES,
     TABLE_DELTAS,
     ExperimentConfig,
-    SignalConfig,
+    SineSignal,
     cmd_lagshift,
     cmd_reconstruct,
     cmd_tables,
@@ -196,7 +196,7 @@ class TestReconstruct:
 
     def test_zero_signal(self, tmp_path):
         cfg = ExperimentConfig(
-            signal=SignalConfig(kind="sine", freqs=(1.0,), amps=(0.0,), phases=(0.0,)),
+            signal=SineSignal(freqs=(1.0,), amps=(0.0,), phases=(0.0,)),
             output_dir=str(tmp_path),
         )
         checks = cmd_reconstruct(cfg)
@@ -210,7 +210,7 @@ class TestReconstruct:
         """Exact and reference recurrences agree over the last second to
         within 5% of the signal amplitude."""
         cfg = ExperimentConfig(
-            signal=SignalConfig(kind="sine", freqs=(0.5,), amps=(1.0,), phases=(0.0,)),
+            signal=SineSignal(freqs=(0.5,), amps=(1.0,), phases=(0.0,)),
             output_dir=str(tmp_path),
         )
         checks = cmd_reconstruct(cfg)
@@ -699,8 +699,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", ["tables", "reconstruct", "lagshift", "matrices"])
     @pytest.mark.parametrize(
         "signal, named",
-        [({"kind": "bogus"}, "unknown signal kind 'bogus'"), ({"kind": "csv"}, "csv_path")],
-        ids=["unknown-kind", "csv-without-path"],
+        [({"kind": "bogus"}, "unknown signal kind 'bogus'"),
+         ({"kind": "csv"}, "csv_path"),
+         ({"kind": "sine", "freqs": [1, 2], "amps": [1], "phases": [0]},
+          "signal freqs, amps and phases differ in length: [2, 1, 1]"),
+         ({"kind": "sine", "burn_in": 500}, "unknown signal key 'burn_in'")],
+        ids=["unknown-kind", "csv-without-path", "sine-lengths-differ", "key-of-another-kind"],
     )
     def test_bad_signal_kind_is_an_error_before_output(
         self, tmp_path, capsys, command, signal, named

@@ -2,11 +2,13 @@
 direct construction; README's config example and CLI synopsis stay true."""
 
 import argparse
+import dataclasses
 import json
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,13 +16,14 @@ from hypothesis import strategies as st
 from lagssm import (
     ArgumentError,
     QuadratureConfig,
+    SignalTrace,
     WarpSpec,
     frobenius_rel_diff,
     hippo_legs_reference,
     matrix_exp,
 )
 from lagssm.cli import build_parser, config_from_args, main
-from lagssm.experiments import ExperimentConfig, SignalConfig
+from lagssm.experiments import CsvSignal, ExperimentConfig, LorenzSignal, SineSignal
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -46,30 +49,31 @@ KINDS = {
         "total_time": lambda v: v is None or _real(v),
         "warp": _of(WarpSpec),
         "input_model": _of(str),
-        "signal": _of(SignalConfig),
+        "signal": _of(LorenzSignal, SineSignal, CsvSignal),
         "output_dir": _of(str),
     },
     WarpSpec: {"rate": _real},
-    SignalConfig: {
-        "kind": _of(str),
+    LorenzSignal: {
         "sigma": _real,
         "rho": _real,
         "beta": _real,
         "x0": _reals(3),
         "burn_in": _of(int),
         "normalize": _of(bool),
-        "freqs": _reals(),
-        "amps": _reals(),
-        "phases": _reals(),
-        "csv_path": _of(str, type(None)),
     },
+    SineSignal: {"freqs": _reals(), "amps": _reals(), "phases": _reals()},
+    CsvSignal: {"csv_path": _of(str)},
 }
+
+# The value of signal.kind that picks each signal class; a section with no
+# kind is Lorenz.
+SIGNAL_KINDS = {"lorenz": LorenzSignal, "sine": SineSignal, "csv": CsvSignal}
 
 NUMBERS = st.integers(-3, 300) | st.integers() | st.floats()
 VALUES = (
     st.booleans()
     | NUMBERS
-    | st.sampled_from(["exponential", "zoh", "foh", "lorenz", "sine", "out", ""])
+    | st.sampled_from(["exponential", "zoh", "foh", "lorenz", "sine", "csv", "out", ""])
     | st.text(max_size=4)
     | st.none()
     | st.lists(NUMBERS | st.booleans() | st.text(max_size=2), max_size=4)
@@ -77,19 +81,31 @@ VALUES = (
 )
 
 
-SECTIONS = {"warp": WarpSpec, "signal": SignalConfig}
+SECTIONS = {"warp": (WarpSpec,), "signal": tuple(SIGNAL_KINDS.values())}
 
 
-def _section(cls):
-    """A JSON object of some of cls's fields, each drawn from VALUES (or,
-    for a nested section, from VALUES or that section's objects), and
-    sometimes an unknown key."""
-    optional = {
-        name: VALUES | _section(SECTIONS[name]) if name in SECTIONS else VALUES
-        for name in KINDS[cls]
-    }
+def _object(names, kind=None):
+    """A JSON object of some of the names, each drawn from VALUES (or, for
+    a nested section, from VALUES or that section's objects), sometimes an
+    unknown key, and kind's draw under "kind" when given."""
+    optional = {name: VALUES | _section(name) if name in SECTIONS else VALUES for name in names}
     optional["bogus"] = VALUES
-    return st.fixed_dictionaries({}, optional=optional)
+    return st.fixed_dictionaries({} if kind is None else {"kind": kind}, optional=optional)
+
+
+def _section(name):
+    """An object for the section: for signal, the fields of one kind under
+    that kind or, for Lorenz, none; or the fields of every kind under any
+    kind."""
+    classes = SECTIONS[name]
+    if len(classes) == 1:
+        return _object(KINDS[classes[0]])
+    every = [field for cls in classes for field in KINDS[cls]]
+    return st.one_of(
+        *(_object(KINDS[cls], st.just(kind)) for kind, cls in SIGNAL_KINDS.items()),
+        _object(KINDS[LorenzSignal]),
+        _object(every, st.sampled_from(list(SIGNAL_KINDS)) | VALUES),
+    )
 
 
 def _keys(raw):
@@ -108,7 +124,7 @@ def _assert_kinds(obj):
 
 
 @settings(max_examples=300, deadline=None)
-@given(raw=VALUES | _section(ExperimentConfig))
+@given(raw=VALUES | _object(KINDS[ExperimentConfig]))
 def test_from_dict_gives_kinds_or_names_the_field(raw):
     """Every input either builds a config whose every field holds its kind,
     or raises ArgumentError naming a key it was given; nothing else."""
@@ -119,6 +135,7 @@ def test_from_dict_gives_kinds_or_names_the_field(raw):
         assert named or "config must be a JSON object" in str(exc), str(exc)
     else:
         _assert_kinds(cfg)
+        assert type(cfg.signal) is SIGNAL_KINDS[raw.get("signal", {}).get("kind", "lorenz")]
 
 
 NEWLY_CHECKED = [
@@ -169,13 +186,13 @@ def test_newly_checked_value_is_an_error(tmp_path, monkeypatch, capsys, raw, nam
 @pytest.mark.parametrize(
     "build, flags, named",
     [
-        (lambda: SignalConfig(burn_in=-1), ["--burn-in=-1"],
+        (lambda: LorenzSignal(burn_in=-1), ["--burn-in=-1"],
          "signal burn_in must be a nonnegative integer, got -1"),
         (lambda: ExperimentConfig(delta=-0.1), ["--delta=-0.1"],
          "delta must be nonnegative and total_time positive"),
         (lambda: ExperimentConfig(total_time=0.0), ["--total-time", "0"],
          "delta must be nonnegative and total_time positive"),
-        (lambda: ExperimentConfig(total_time=99.0, signal=SignalConfig(kind="csv", csv_path="s.csv")),
+        (lambda: ExperimentConfig(total_time=99.0, signal=CsvSignal(csv_path="s.csv")),
          ["--signal", "csv:s.csv", "--total-time", "99"],
          "total_time cannot be set with signal kind 'csv'"),
     ],
@@ -214,18 +231,95 @@ def test_flags_do_not_mend_a_bad_file(tmp_path, capsys, content, flags, named):
 
 
 def test_flags_write_over_file_values(tmp_path):
+    """A flag writes over its own key; --signal writes only the kind, so the
+    file's keys of that kind stay."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        json.dumps({"warp": {"rate": 3.0}, "signal": {"kind": "csv", "csv_path": "x.csv"}})
-    )
-    args = build_parser().parse_args(
-        ["reconstruct", "--config", str(cfg_path), "--signal", "sine",
-         "--input-model", "foh", "--no-normalize"]
-    )
-    cfg = config_from_args(args)
-    assert cfg.warp == WarpSpec(rate=3.0)
-    assert (cfg.signal.kind, cfg.signal.csv_path, cfg.signal.normalize) == ("sine", None, False)
-    assert cfg.input_model == "foh"
+    for signal, flags, want in [
+        ({"x0": [2, 1, 1]}, ["--signal", "lorenz", "--no-normalize", "--burn-in", "7"],
+         LorenzSignal(x0=(2, 1, 1), burn_in=7, normalize=False)),
+        ({"kind": "sine", "freqs": [2.0], "amps": [0.5], "phases": [0.0]}, ["--signal", "sine"],
+         SineSignal(freqs=(2.0,), amps=(0.5,), phases=(0.0,))),
+    ]:
+        cfg_path.write_text(json.dumps({"warp": {"rate": 3.0}, "signal": signal}))
+        args = build_parser().parse_args(
+            ["reconstruct", "--config", str(cfg_path), "--input-model", "foh", *flags]
+        )
+        cfg = config_from_args(args)
+        assert cfg.warp == WarpSpec(rate=3.0)
+        assert cfg.signal == want
+        assert cfg.input_model == "foh"
+
+
+# A valid value of each signal field, to be set under a kind that lacks it.
+SIGNAL_VALUES = {
+    "sigma": 3.0, "rho": 28.0, "beta": 2.5, "x0": [1.0, 2.0, 3.0], "burn_in": 500,
+    "normalize": False, "freqs": [3.0], "amps": [1.0], "phases": [0.0], "csv_path": "nowhere.csv",
+}
+OTHER_KIND_KEYS = [
+    (kind, key)
+    for kind, cls in SIGNAL_KINDS.items()
+    for other in SIGNAL_KINDS.values() if other is not cls
+    for key in KINDS[other]
+]
+
+
+def test_each_signal_kind_has_only_its_own_fields():
+    """Lorenz 6, sine 3 and csv 1: ten (kind, field) pairs, and twenty keys
+    of another kind that a section must refuse."""
+    for kind, cls in SIGNAL_KINDS.items():
+        assert cls.kind == kind
+        assert [f.name for f in dataclasses.fields(cls)] == list(KINDS[cls])
+    assert sum(len(KINDS[cls]) for cls in SIGNAL_KINDS.values()) == 10
+    assert len(OTHER_KIND_KEYS) == 20
+
+
+@pytest.mark.parametrize("kind, key", OTHER_KIND_KEYS, ids=[f"{k}-{f}" for k, f in OTHER_KIND_KEYS])
+def test_key_of_another_signal_kind_is_an_error(tmp_path, capsys, kind, key):
+    """A signal key that the section's kind does not read is the unknown-key
+    error, built directly or through the CLI (exit 2, nothing written)."""
+    signal = {"kind": kind, key: SIGNAL_VALUES[key]}
+    if kind == "csv":
+        signal["csv_path"] = "s.csv"
+    with pytest.raises(ArgumentError, match=f"^unknown signal key {key!r}"):
+        ExperimentConfig.from_dict({"signal": signal})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"signal": signal}))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown signal key {key!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "signal, flags, key",
+    [
+        ({"kind": "sine", "csv_path": "nowhere.csv", "burn_in": 500, "sigma": 3.0}, [],
+         "csv_path"),
+        ({"kind": "lorenz", "freqs": [3.0]}, [], "freqs"),
+        (None, ["--signal", "sine", "--burn-in", "5"], "burn_in"),
+        (None, ["--signal", "sine", "--normalize"], "normalize"),
+        (None, ["--signal", "csv:F", "--no-normalize"], "normalize"),
+        (None, ["--signal", "csv:F", "--burn-in", "0"], "burn_in"),
+        ({"kind": "csv", "csv_path": "F"}, ["--signal", "sine"], "csv_path"),
+    ],
+    ids=["sine-with-csv-and-lorenz-keys", "lorenz-with-freqs", "sine-burn-in-flag",
+         "sine-normalize-flag", "csv-no-normalize-flag", "csv-burn-in-flag",
+         "sine-flag-over-csv-file"],
+)
+def test_signal_keys_the_kind_does_not_read_are_refused(tmp_path, monkeypatch, capsys,
+                                                        signal, flags, key):
+    """A signal key that the chosen kind does not read, from the file or
+    from a flag beside --signal, is exit 2 naming the key, and nothing is
+    written."""
+    monkeypatch.chdir(tmp_path)
+    SignalTrace(np.sin(0.01 * np.arange(300)), 0.01).to_csv(tmp_path / "F")
+    argv = ["reconstruct", *flags, "--out", "out"]
+    if signal is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({"signal": signal}))
+        argv += ["--config", "cfg.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown signal key {key!r}")
+    assert not (tmp_path / "out").exists()
 
 
 def _readme_block(heading, lang=""):
@@ -238,7 +332,7 @@ def test_readme_config_example_loads():
     raw = json.loads(_readme_block("### Config file", "json"))
     cfg = ExperimentConfig.from_dict(raw)
     assert cfg.signal.x0 == (1, 1, 1)
-    assert cfg == ExperimentConfig(signal=SignalConfig(sigma=10, rho=28, x0=(1, 1, 1)))
+    assert cfg == ExperimentConfig(signal=LorenzSignal(sigma=10, rho=28, x0=(1, 1, 1)))
 
 
 def test_readme_library_example_runs():

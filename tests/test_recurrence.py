@@ -325,6 +325,30 @@ class TestSignalTrace:
             assert str(exc.value) == f"delta must be positive and t0 finite, got {shown}"
         assert SignalTrace(np.zeros(3), 1).delta == 1.0
 
+    @pytest.mark.parametrize(
+        "values, delta, t0",
+        [(np.array([1.0, 2.0, 3.0]), 1e-20, 1e3), (np.ones(3), 1e308, 1e308)],
+        ids=["delta-below-the-spacing-at-t0", "final-time-overflows"],
+    )
+    def test_times_must_be_distinct_and_finite(self, values, delta, t0):
+        """A delta below the float spacing at t0, whose times would all be
+        1000, and a grid that leaves float range, whose final state would
+        sit at t = inf, are refused naming delta and t0."""
+        shown = f"delta={delta} at t0={t0} gives sample times that are not distinct and finite"
+        with pytest.raises(ArgumentError, match=re.escape(shown)):
+            SignalTrace(values, delta, t0)
+
+    def test_smallest_delta_is_eight_ulps_of_the_largest_time(self):
+        """The bound is 2 * _grid_slack: 8 ulps of the largest |time|, over
+        the whole grid up to the final state's t0 + L delta."""
+        ulp = float(np.spacing(1e3))
+        assert SignalTrace(np.zeros(3), 9 * ulp, 1e3).times.tolist() == [
+            1e3, 1e3 + 9 * ulp, 1e3 + 18 * ulp]
+        with pytest.raises(ArgumentError, match="not distinct and finite"):
+            SignalTrace(np.zeros(3), 8 * ulp, 1e3)
+        with pytest.raises(ArgumentError, match=r"t0 \+ 3 \* delta must be finite"):
+            SignalTrace(np.zeros(3), 5e307, 1.2e308)
+
     def test_late_grid_is_accepted(self):
         """Past t = 8192 the float spacing of the times exceeds 1e-12; the
         grid is no longer re-checked, so such a trace builds."""

@@ -30,6 +30,12 @@ def finite_real(v) -> bool:
         return False
 
 
+def check_finite(name: str, value) -> None:
+    """ArgumentError naming value unless finite_real(value)."""
+    if not finite_real(value):
+        raise ArgumentError(f"{name} must be a finite real number, got {value!r}")
+
+
 FilePath = typing.NewType("FilePath", str)
 
 _SCALARS = {

@@ -7,7 +7,7 @@ import functools
 import sys
 
 from ._schema import read_json
-from .errors import ArgumentError, LagssmError
+from .errors import LagssmError
 from .experiments import (
     ExperimentConfig,
     cmd_lagshift,
@@ -26,10 +26,17 @@ _COMMANDS = {
 }
 _ALL = tuple(_COMMANDS)
 
+
+def _signal_keys(value: str) -> dict:
+    """--signal csv:PATH or KIND as keys of the signal section."""
+    if value.startswith("csv:"):
+        return {"kind": "csv", "csv_path": value[len("csv:"):]}
+    return {"kind": value}
+
+
 # Each flag, the config key path it writes (None for a flag that sets no
 # key), the commands that read it, and its argparse options.  A command has
-# only the flags it reads, so any other is argparse's "unrecognized
-# arguments".  --signal writes a dict of signal keys (see _signal_keys).
+# only the flags it reads, so any other is argparse's "unrecognized arguments".
 _FLAGS = (
     ("--config", None, _ALL, dict(metavar="PATH", help="JSON config file")),
     ("--n", ("n_basis",), _ALL, dict(type=int, help="basis size")),
@@ -41,7 +48,7 @@ _FLAGS = (
     ("--input-model", ("input_model",), ("reconstruct", "matrices"),
      dict(choices=INPUT_MODELS, help="hold model")),
     ("--signal", ("signal",), ("reconstruct",),
-     dict(metavar="lorenz|sine|csv:PATH", help="input signal")),
+     dict(type=_signal_keys, metavar="lorenz|sine|csv:PATH", help="input signal")),
     ("--burn-in", ("signal", "burn_in"), ("reconstruct",),
      dict(type=int, help="Lorenz burn-in steps")),
     ("--normalize", ("signal", "normalize"), ("reconstruct",),
@@ -52,15 +59,6 @@ _FLAGS = (
     ("--direction", None, ("lagshift",),
      dict(choices=["forward", "backward"], default="backward", help="shift direction")),
 )
-
-
-def _signal_keys(value: str) -> dict:
-    """--signal lorenz|sine|csv:PATH as keys of the signal section."""
-    if value in ("lorenz", "sine"):
-        return {"kind": value}
-    if value.startswith("csv:"):
-        return {"kind": "csv", "csv_path": value[len("csv:"):]}
-    raise ArgumentError(f"unknown signal {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +93,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for flag, path, _, _ in _FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if path is not None and value is not None:
-            _write(raw, path, _signal_keys(value) if flag == "--signal" else value)
+            _write(raw, path, value)
     return ExperimentConfig.from_dict(raw)
 
 

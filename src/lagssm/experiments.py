@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -64,7 +64,7 @@ from .matrices import (
 )
 from .quadrature import QuadratureConfig
 from .recurrence import SignalTrace, _grid_slack, _write_table, run
-from .signals import LorenzParams, lorenz63, normalize_trace, sine_mixture
+from .signals import LorenzParams, LorenzSystem, lorenz63, normalize_trace, sine_mixture
 from .warp import WarpSpec
 
 TABLE_DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)  # table1 and table3
@@ -97,23 +97,14 @@ def _within(name: str, label: str, value: float, tol: float) -> Check:
 
 
 @dataclass(frozen=True)
-class LorenzSignal:
+class LorenzSignal(LorenzSystem):
     """The Lorenz63 x-trace from x0, the default signal, transient kept and
     affinely normalized: the exact-vs-Tustin gap that reconstruct checks
     scales with amplitude squared, so it is checked on unit-scale signals."""
 
     kind: ClassVar[str] = "lorenz"
-    sigma: float = 10.0
-    rho: float = 28.0
-    beta: float = 8.0 / 3.0
-    x0: tuple[float, float, float] = (1.0, 1.0, 1.0)
     burn_in: int = 0
     normalize: bool = True
-
-    def __post_init__(self):
-        check_fields(self, "signal")
-        if self.burn_in < 0:
-            raise ArgumentError(f"signal burn_in must be a nonnegative integer, got {self.burn_in}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +221,13 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
             )
         return trace
     total_time = _DEFAULT_TOTAL_TIME if cfg.total_time is None else cfg.total_time
-    steps = int(round(total_time / cfg.delta))
+    count, limit = total_time / cfg.delta, np.iinfo(np.intp).max // 8
+    if not count <= limit:  # an inf count too
+        raise ArgumentError(
+            f"total_time={total_time} / delta={cfg.delta} is {count:g} samples, "
+            f"more than the {limit} a float64 array can hold"
+        )
+    steps = int(round(count))
     if steps < 1:
         raise ArgumentError(
             f"total_time={total_time} is under half of delta={cfg.delta}, "
@@ -238,9 +235,8 @@ def make_signal(cfg: ExperimentConfig) -> SignalTrace:
         )
     if isinstance(sig, SineSignal):
         return sine_mixture(sig.freqs, sig.amps, sig.phases, cfg.delta, steps)
-    params = LorenzParams(sigma=sig.sigma, rho=sig.rho, beta=sig.beta, x0=sig.x0,
-                          dt=cfg.delta, steps=steps, burn_in=sig.burn_in)
-    trace = lorenz63(params)
+    system = {f.name: getattr(sig, f.name) for f in fields(LorenzSystem)}
+    trace = lorenz63(LorenzParams(**system, dt=cfg.delta, steps=steps))
     return normalize_trace(trace) if sig.normalize else trace
 
 

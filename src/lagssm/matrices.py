@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._schema import check_finite
 from .basis import BasisSpec, boundary_values, jacobi_offdiagonal, phi_matrix
 from .errors import ArgumentError, NumericError
 from .quadrature import QuadratureConfig, panel_nodes
@@ -116,6 +117,7 @@ def build_a_delta(
     by 8e16.  A delta / tau above DELTA_CAP raises ArgumentError before the
     basis is evaluated.
     """
+    check_finite("delta", delta)
     if delta < 0.0:
         raise ArgumentError(f"delta must be nonnegative, got {delta}")
     if delta / warp.rate > DELTA_CAP:
@@ -268,9 +270,12 @@ def correct_a_delta(
     an LU solve with partial pivoting; a condition estimate above
     max_condition raises NumericError (pass max_condition=None to force
     the solve anyway, e.g. for large-step sweeps that report conditioning).
-    An a_delta that is not a finite square matrix is an ArgumentError.
+    An a_delta that is not a finite square matrix, a delta that is not
+    finite or a rate that WarpSpec refuses is an ArgumentError.
     """
     a_delta = _finite_square(a_delta)
+    check_finite("delta", delta)
+    WarpSpec(rate=rate)  # the warp's rule for a rate
     if max_condition is not None:
         cond = float(np.linalg.cond(a_delta))
         if not np.isfinite(cond) or cond > max_condition:
@@ -286,7 +291,10 @@ def correct_a_delta(
 
 def backward_shift(a_delta: np.ndarray, delta: float, *, rate: float = 1.0) -> np.ndarray:
     """Backward shift operator a_delta * exp(delta / rate) acting on the basis
-    stack; its transpose is exp(-delta a_hippo / rate)."""
+    stack; its transpose is exp(-delta a_hippo / rate).  A delta that is
+    not finite or a rate that WarpSpec refuses is an ArgumentError."""
+    check_finite("delta", delta)
+    WarpSpec(rate=rate)  # the warp's rule for a rate
     return a_delta * np.exp(delta / rate)
 
 
@@ -358,7 +366,8 @@ def _finite_square(m) -> np.ndarray:
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of one square matrix by scaling-and-squaring with a
     degree-13 diagonal Pade approximant (Higham, SIAM J. Matrix Anal. Appl.
-    26(4), 2005).
+    26(4), 2005).  A result that overflows is a NumericError naming m's
+    1-norm.
     """
     m = _finite_square(m)
     norm = np.linalg.norm(m, 1)
@@ -390,8 +399,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         r = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Pade denominator is singular: {exc}") from exc
-    for _ in range(squarings):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for _ in range(squarings):
+            r = r @ r
+    if not np.isfinite(r).all():
+        raise NumericError(f"matrix exponential overflows: the input's 1-norm is {norm:.3e}")
     return r
 
 
@@ -399,13 +411,14 @@ def bilinear_discretize(
     a: np.ndarray, b: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tustin transform: ((I - d/2 a)^-1 (I + d/2 a), (I - d/2 a)^-1 d b)
-    for one step d = delta; a must be a finite square matrix and b a finite
-    vector of a's size."""
+    for one finite step d = delta; a must be a finite square matrix and b a
+    finite vector of a's size."""
     if np.ndim(delta):
         raise ArgumentError(f"delta must be a scalar, got shape {np.shape(delta)}")
+    d = float(delta)
+    check_finite("delta", d)
     a = _finite_square(a)
     b = np.asarray(b, dtype=float)
-    d = float(delta)
     n = a.shape[0]
     if b.shape != (n,):
         raise ArgumentError(f"b must have shape ({n},) to match a, got {b.shape}")

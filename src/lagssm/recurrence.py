@@ -19,7 +19,7 @@ from numbers import Real
 
 import numpy as np
 
-from ._schema import finite_real
+from ._schema import check_finite, finite_real
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import FohVectors
@@ -34,12 +34,13 @@ _SLAB_BLOCKS = 16
 
 @dataclass(frozen=True)
 class MemoryState:
-    """Coefficient vector plus the time it describes."""
+    """Coefficient vector plus the finite time it describes."""
 
     coeffs: np.ndarray
     t: float
 
     def __post_init__(self):
+        check_finite("t", self.t)
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1:
             raise ArgumentError(f"coeffs must be a vector, got shape {c.shape}")
@@ -446,13 +447,15 @@ def reconstruct(
     state: MemoryState, basis: BasisSpec, warp: WarpSpec, s_grid
 ) -> np.ndarray:
     """Evaluate sum_n c_n phi_n(sigma_t(s)) on the grid of history times;
-    a grid point after state.t, or a state whose size is not
+    a grid point not finite or after state.t, or a state whose size is not
     basis.n_basis, raises ArgumentError."""
     if state.coeffs.size != basis.n_basis:
         raise ArgumentError(
             f"state has {state.coeffs.size} coefficients, basis has n_basis={basis.n_basis}"
         )
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
+    if not np.isfinite(s).all():
+        raise ArgumentError(f"grid points must be finite, got {float(s[~np.isfinite(s)][0])!r}")
     if np.any(s > state.t):
         raise ArgumentError(f"grid points must not exceed t={state.t}")
     return state.coeffs @ phi_matrix(basis, warp.f(s - state.t))

@@ -16,26 +16,36 @@ MAX_LORENZ_DT = 0.02
 
 
 @dataclass(frozen=True)
-class LorenzParams:
-    """Fixed-step RK4 integration setup for the Lorenz63 system."""
+class LorenzSystem:
+    """The Lorenz63 fields that LorenzParams and the config's LorenzSignal
+    share, checked here for both; an error names one as `signal <field>`."""
 
     sigma: float = 10.0
     rho: float = 28.0
     beta: float = 8.0 / 3.0
     x0: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    dt: float = 0.01
-    steps: int = 1000
     burn_in: int = 1000
 
     def __post_init__(self):
-        check_fields(self, "lorenz")
+        check_fields(self, "signal")
+        if self.burn_in < 0:
+            raise ArgumentError(f"signal burn_in must be a nonnegative integer, got {self.burn_in}")
+
+
+@dataclass(frozen=True)
+class LorenzParams(LorenzSystem):
+    """Fixed-step RK4 integration setup for the Lorenz63 system."""
+
+    dt: float = 0.01
+    steps: int = 1000
+
+    def __post_init__(self):
+        super().__post_init__()
         if not (0.0 < self.dt <= MAX_LORENZ_DT):
             raise ArgumentError("Lorenz sample spacing delta must be in "
                                 f"(0, MAX_LORENZ_DT={MAX_LORENZ_DT}], got {self.dt}")
         if self.steps <= 0:
             raise ArgumentError(f"steps must be positive, got {self.steps}")
-        if self.burn_in < 0:
-            raise ArgumentError(f"burn_in must be nonnegative, got {self.burn_in}")
 
 
 def lorenz_rhs(state: np.ndarray, sigma: float, rho: float, beta: float) -> np.ndarray:

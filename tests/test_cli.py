@@ -501,11 +501,20 @@ class TestRefusedCommands:
          (["reconstruct", "--delta", "0.05"],
           "sample spacing delta must be in (0, MAX_LORENZ_DT=0.02], got 0.05"),
          (["reconstruct", "--delta", "0"], "signal generation needs a positive delta"),
-         (["reconstruct", "--signal", "bogus"], "unknown signal 'bogus'"),
+         # the signal union's refusal, as for {"signal": {"kind": "bogus"}}
+         pytest.param(["reconstruct", "--signal", "bogus"],
+                      "unknown signal kind 'bogus'; expected one of ['lorenz', 'sine', 'csv']",
+                      id="unknown-signal-kind"),
          # a csv signal's samples set the span; refused before the file is read
          (["reconstruct", "--signal", "csv:sig.csv", "--total-time", "99"],
           "error: total_time cannot be set with signal kind 'csv': "
-          "the file's samples set the span")],
+          "the file's samples set the span"),
+         # a sample count no float64 array can index, refused before allocating
+         (["reconstruct", "--total-time", "1e300"],
+          "total_time=1e+300 / delta=0.01 is 1e+302 samples"),
+         (["reconstruct", "--delta", "1e-320"], "total_time=10.0 / delta=1e-320 is inf samples"),
+         (["reconstruct", "--signal", "sine", "--total-time", "1e30"],
+          "total_time=1e+30 / delta=0.01 is 1e+32 samples")],
     )
     def test_refused_input_makes_no_directory(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"

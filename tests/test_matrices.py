@@ -417,6 +417,12 @@ class TestMatrixExp:
         with pytest.raises(ArgumentError):
             matrix_exp(np.zeros((2, 3)))
 
+    def test_overflow_is_a_numeric_error(self):
+        """exp(800) is beyond float range: the error names the input's
+        1-norm, with no overflow warning on the way."""
+        with pytest.raises(NumericError, match=r"1-norm is 8\.000e\+02"):
+            matrix_exp(800.0 * np.eye(2))
+
 
 def taylor_expm(m, terms=40):
     """Truncated Taylor series in extended precision; independent oracle."""

@@ -32,6 +32,17 @@ BAD_OPERANDS = {
         lagssm.MemoryState(np.zeros(3), 1.0), lagssm.BasisSpec(4), lagssm.WarpSpec(), [0.5]
     ),
     "gauss-rule-float-k": lambda: lagssm.gauss_rule(3.5),
+    "a-delta-nan-step": lambda: lagssm.build_a_delta(lagssm.BasisSpec(3), lagssm.WarpSpec(), np.nan),
+    "correct-nan-step": lambda: lagssm.correct_a_delta(np.eye(2), np.nan),
+    "correct-nan-rate": lambda: lagssm.correct_a_delta(np.eye(2), 0.1, rate=np.nan),
+    "backward-shift-nan-step": lambda: lagssm.backward_shift(np.eye(2), np.nan),
+    "backward-shift-inf-rate": lambda: lagssm.backward_shift(np.eye(2), 0.1, rate=np.inf),
+    "bilinear-nan-step": lambda: lagssm.bilinear_discretize(-np.eye(2), np.ones(2), np.nan),
+    "bilinear-inf-step": lambda: lagssm.bilinear_discretize(-np.eye(2), np.ones(2), np.inf),
+    "memory-state-nan-t": lambda: lagssm.MemoryState(np.ones(3), np.nan),
+    "reconstruct-nan-grid": lambda: lagssm.reconstruct(
+        lagssm.MemoryState(np.ones(3), 1.0), lagssm.BasisSpec(3), lagssm.WarpSpec(), [np.nan]
+    ),
 }
 
 

@@ -1,5 +1,7 @@
 """Signal generators: Lorenz63 RK4 integration and synthetic traces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,8 @@ from lagssm import (
     sine_mixture,
     zoh_function,
 )
-from lagssm.signals import lorenz_rhs, rk4_step
+from lagssm.experiments import ExperimentConfig, LorenzSignal, make_signal
+from lagssm.signals import LorenzSystem, lorenz_rhs, rk4_step
 
 
 def test_origin_is_fixed_point():
@@ -93,8 +96,20 @@ def test_dt_guard():
         LorenzParams(dt=0.05)
     with pytest.raises(ArgumentError):
         LorenzParams(steps=0)
-    with pytest.raises(ArgumentError, match="burn_in must be nonnegative, got -1"):
+    with pytest.raises(ArgumentError, match="signal burn_in must be a nonnegative integer, got -1"):
         LorenzParams(burn_in=-1)
+
+
+def test_make_signal_passes_every_lorenz_field_through():
+    """make_signal hands each field LorenzSignal shares with LorenzParams to
+    the generator: a value unlike either class's default in each gives the
+    trace LorenzParams gives with the same values, byte for byte."""
+    shared = {"sigma": 9.5, "rho": 27.0, "beta": 2.5, "x0": (0.5, -1.0, 20.0), "burn_in": 7}
+    assert set(shared) == {f.name for f in dataclasses.fields(LorenzSystem)}
+    signal = LorenzSignal(**shared, normalize=False)
+    got = make_signal(ExperimentConfig(delta=0.01, total_time=1.0, signal=signal))
+    want = lorenz63(LorenzParams(**shared, dt=0.01, steps=100))
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_lorenz63_matches_rk4_step_fold():

@@ -1,5 +1,5 @@
 """One rule for every config dataclass: each field holds a value of the kind
-its annotation names.
+its annotation names.  finite_array and system are the builders' array rules.
 
 `float` is a finite real number and not a bool, `int` an integer and not a
 bool, `FilePath` a nonempty string without NUL; `bool`, `str`, `X | None`,
@@ -17,6 +17,8 @@ import math
 import typing
 from numbers import Integral, Real
 
+import numpy as np
+
 from .errors import ArgumentError
 
 
@@ -30,10 +32,41 @@ def finite_real(v) -> bool:
         return False
 
 
-def check_finite(name: str, value) -> None:
-    """ArgumentError naming value unless finite_real(value)."""
+def check_finite(name: str, value):
+    """value; an ArgumentError naming it unless finite_real(value)."""
     if not finite_real(value):
         raise ArgumentError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
+def finite_array(name: str, value, ndim: int | None = None) -> np.ndarray:
+    """value as a float array; an ArgumentError naming it unless it holds
+    integers or floats (not bools, complex numbers, strings or objects),
+    has ndim dimensions when ndim is given, and every entry is finite."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ArgumentError(f"{name} must hold finite real numbers, got dtype {arr.dtype}")
+    if ndim is not None and arr.ndim != ndim:
+        shape = ("a scalar", "a vector", "a matrix")[ndim]
+        raise ArgumentError(f"{name} must be {shape}, got shape {arr.shape}")
+    if not (finite := np.isfinite(arr)).all():
+        i = np.unravel_index(np.argmin(finite), arr.shape)  # named as in lag_matrix's c[i]
+        raise ArgumentError(f"{name}{list(map(int, i)) if i else ''} must be finite, got {arr[i]}")
+    return arr.astype(float, copy=False)
+
+
+def system(a, *vectors, names=("a", "b")) -> tuple:
+    """(a, *vectors) as float arrays; an ArgumentError naming the operand
+    (names[0] for a, names[1] for a vector) unless a is a finite square
+    matrix and each vector a finite vector of a's size."""
+    a = finite_array(names[0], a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ArgumentError(f"{names[0]} must be a square matrix, got shape {a.shape}")
+    vectors = [finite_array(names[1], v) for v in vectors]
+    if any(v.shape != a.shape[:1] for v in vectors):
+        shapes = [v.shape for v in vectors]
+        raise ArgumentError(f"{names[1]} must be {names[0]}'s size {len(a)}, got shapes {shapes}")
+    return (a, *vectors)
 
 
 FilePath = typing.NewType("FilePath", str)

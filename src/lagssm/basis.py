@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schema import check_fields
+from ._schema import check_fields, finite_array
 from .errors import ArgumentError
 
 MAX_BASIS_SIZE = 256
@@ -63,8 +63,8 @@ def jacobi_offdiagonal(spec: BasisSpec) -> np.ndarray:
 
 
 def phi_matrix(spec: BasisSpec, z: np.ndarray) -> np.ndarray:
-    """Stack of basis values phi_0..phi_{N-1} at z, shape (N, len(z))."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    """Stack of basis values phi_0..phi_{N-1} at finite real z, shape (N, len(z))."""
+    z = np.atleast_1d(finite_array("z", z))
     p = _legendre_stack(spec.n_basis, 2.0 * z - 1.0)
     return p * boundary_values(spec)[:, None]
 

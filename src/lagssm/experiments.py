@@ -269,7 +269,7 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
     rows1, rows3 = [], []
     for d, a_delta, inverse in zip(TABLE_DELTAS, lags[:k], lags[k:]):
         rows1.append([d, frobenius_rel_diff(a_delta, matrix_exp(d * a_gen[:n, :n]))])
-        corrected_t = (cfg.warp.f(-d) * inverse).T
+        corrected_t = (step_factor(cfg.warp, -d) * inverse).T
         a_bar, _ = bilinear_discretize(a_ref, b_ref, d)
         diff_exact = frobenius_rel_diff(corrected_t, matrix_exp(d * a_ref))
         # M(c)^-1 = M(1/c), so cond_2 needs only the two largest singular
@@ -392,7 +392,7 @@ def cmd_lagshift(
 
 
 def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
-    """Dump every built matrix with metadata to matrices.json."""
+    """Dump every matrix at rate tau, a_hippo / tau too, with metadata to matrices.json."""
     basis, warp, rule = cfg.basis, cfg.warp, QuadratureConfig()
     forward = exact_shift(basis, warp, cfg.delta)
     ref = hippo_legs_reference(cfg.n_basis)
@@ -405,8 +405,8 @@ def cmd_matrices(cfg: ExperimentConfig) -> list[Check]:
         "b_delta_zoh": hold_vectors(forward, basis, warp, cfg.delta, ZOH),
         "b_delta_foh_v_next": foh.v_next,
         "b_delta_foh_v_prev": foh.v_prev,
-        "a_hippo": ref.a_hippo,
-        "b_hippo": ref.b_hippo,
+        "a_hippo": ref.a_hippo / warp.rate,
+        "b_hippo": ref.b_hippo / warp.rate,
     }
     meta = {
         "n_basis": cfg.n_basis,

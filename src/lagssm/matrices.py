@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._schema import check_finite
+from ._schema import check_finite, finite_array, system
 from .basis import BasisSpec, boundary_values, jacobi_offdiagonal, phi_matrix
 from .errors import ArgumentError, NumericError
 from .quadrature import QuadratureConfig, panel_nodes
@@ -68,13 +68,18 @@ def build_a_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
     step (Squire & Trapp, SIAM Review 40(1), 1998): M(c) is a polynomial in
     c with real coefficients, so Im M(1 + i h) = h D + O(h^3).  Nothing is
     subtracted, so D is exact to rounding; h = 2^-300 is a power of two, so
-    the division by h is exact, and h^2 is still a normal float.
+    the division by h (before tau's, so h * tau never underflows) is exact,
+    and h^2 is still a normal float.
     z phi'_m has degree m, so the result is exact in the truncated space:
     upper triangular with exact zeros below the diagonal and diagonal
-    n / tau.
+    n / tau; one out of float range (a subnormal tau) is a NumericError.
     """
     h = 2.0**-300
-    return _dilation(basis, np.array(complex(1.0, h))).imag / (h * warp.rate)
+    with np.errstate(over="ignore"):  # checked below
+        a_gen = _dilation(basis, np.array(complex(1.0, h))).imag / h / warp.rate
+    if not np.isfinite(a_gen).all():
+        raise NumericError(f"a_gen = D / tau is out of float range at tau={warp.rate}")
+    return a_gen
 
 
 def build_b_gen(basis: BasisSpec, warp: WarpSpec) -> np.ndarray:
@@ -117,8 +122,7 @@ def build_a_delta(
     by 8e16.  A delta / tau above DELTA_CAP raises ArgumentError before the
     basis is evaluated.
     """
-    check_finite("delta", delta)
-    if delta < 0.0:
+    if check_finite("delta", delta) < 0.0:
         raise ArgumentError(f"delta must be nonnegative, got {delta}")
     if delta / warp.rate > DELTA_CAP:
         raise ArgumentError(
@@ -201,18 +205,19 @@ def _dilation(basis: BasisSpec, cs: np.ndarray) -> np.ndarray:
 
 
 def check_hold(model: str, delta: float | None = None) -> None:
-    """ArgumentError unless model is in INPUT_MODELS and a given delta > 0."""
+    """ArgumentError unless model is in INPUT_MODELS and a given delta is finite and > 0."""
     if model not in INPUT_MODELS:
         raise ArgumentError(f"unknown input_model {model!r}; expected one of {list(INPUT_MODELS)}")
-    if delta is not None and delta <= 0.0:
+    if delta is not None and check_finite("delta", delta) <= 0.0:
         raise ArgumentError(f"delta must be positive for {model}, got {delta}")
 
 
 def step_factor(warp: WarpSpec, delta: float) -> float:
-    """f(delta) = exp(delta / tau) for a signed step; an ArgumentError naming
-    delta/tau when it underflows to 0 or overflows."""
+    """f(delta) = exp(delta / tau) for a signed step that is a finite real,
+    the one place a step factor is taken; an ArgumentError naming delta/tau
+    when it underflows to 0 or overflows."""
     with np.errstate(over="ignore"):
-        c = warp.f(delta)
+        c = warp.f(check_finite("delta", delta))
     if not 0.0 < c < np.inf:
         raise ArgumentError(
             f"delta/tau={abs(delta) / warp.rate:g} (delta={abs(delta)}, tau={warp.rate}) "
@@ -226,7 +231,7 @@ def exact_shift(basis: BasisSpec, warp: WarpSpec, delta: float) -> np.ndarray:
     stack (its transpose is exp(delta a_hippo / tau); row 0 gives
     hold_vectors), for delta < 0 the exact backward shift, which
     backward_shift(build_a_delta(...)) builds on the composite rule."""
-    c = step_factor(warp, -delta)
+    c = step_factor(warp, -check_finite("delta", delta))  # checked before it is negated
     return c * lag_matrix(basis, c)
 
 
@@ -251,7 +256,7 @@ def hold_vectors(
     i1[0] = -np.expm1(-delta / warp.rate)
     if model == ZOH:
         return i1
-    z, w = panel_nodes(warp.f(-delta), 1.0, quad)
+    z, w = panel_nodes(step_factor(warp, -delta), 1.0, quad)
     ig = phi_matrix(basis, z) @ (w * warp.g(z))
     return FohVectors(v_next=i1 + ig / delta, v_prev=-ig / delta)
 
@@ -270,13 +275,13 @@ def correct_a_delta(
     an LU solve with partial pivoting; a condition estimate above
     max_condition raises NumericError (pass max_condition=None to force
     the solve anyway, e.g. for large-step sweeps that report conditioning).
-    An a_delta that is not a finite square matrix, a delta that is not
-    finite or a rate that WarpSpec refuses is an ArgumentError.
+    A non-square or non-finite a_delta, a max_condition not None or finite,
+    or a rate or delta that WarpSpec or step_factor refuses is an ArgumentError.
     """
-    a_delta = _finite_square(a_delta)
-    check_finite("delta", delta)
-    WarpSpec(rate=rate)  # the warp's rule for a rate
+    (a_delta,) = system(a_delta, names=("a_delta",))
+    factor = step_factor(WarpSpec(rate=rate), -check_finite("delta", delta))
     if max_condition is not None:
+        check_finite("max_condition", max_condition)
         cond = float(np.linalg.cond(a_delta))
         if not np.isfinite(cond) or cond > max_condition:
             raise NumericError(
@@ -286,16 +291,15 @@ def correct_a_delta(
         inv = np.linalg.solve(a_delta, np.eye(a_delta.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"a_delta is singular: {exc}") from exc
-    return inv * np.exp(-delta / rate)
+    return inv * factor
 
 
 def backward_shift(a_delta: np.ndarray, delta: float, *, rate: float = 1.0) -> np.ndarray:
     """Backward shift operator a_delta * exp(delta / rate) acting on the basis
-    stack; its transpose is exp(-delta a_hippo / rate).  A delta that is
-    not finite or a rate that WarpSpec refuses is an ArgumentError."""
-    check_finite("delta", delta)
-    WarpSpec(rate=rate)  # the warp's rule for a rate
-    return a_delta * np.exp(delta / rate)
+    stack; its transpose is exp(-delta a_hippo / rate).  a_delta, delta and
+    rate are checked as in correct_a_delta."""
+    (a_delta,) = system(a_delta, names=("a_delta",))
+    return a_delta * step_factor(WarpSpec(rate=rate), delta)
 
 
 def build_b_delta(
@@ -352,24 +356,13 @@ _PADE13_B = (
 _EXPM_SCALE_TARGET = 0.5
 
 
-def _finite_square(m) -> np.ndarray:
-    """m as a float array; an ArgumentError unless it is one finite square
-    matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ArgumentError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ArgumentError("matrix has non-finite entries")
-    return m
-
-
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of one square matrix by scaling-and-squaring with a
     degree-13 diagonal Pade approximant (Higham, SIAM J. Matrix Anal. Appl.
     26(4), 2005).  A result that overflows is a NumericError naming m's
     1-norm.
     """
-    m = _finite_square(m)
+    (m,) = system(m, names=("m",))
     norm = np.linalg.norm(m, 1)
     squarings = 0
     if norm > _EXPM_SCALE_TARGET:
@@ -413,17 +406,9 @@ def bilinear_discretize(
     """Tustin transform: ((I - d/2 a)^-1 (I + d/2 a), (I - d/2 a)^-1 d b)
     for one finite step d = delta; a must be a finite square matrix and b a
     finite vector of a's size."""
-    if np.ndim(delta):
-        raise ArgumentError(f"delta must be a scalar, got shape {np.shape(delta)}")
-    d = float(delta)
-    check_finite("delta", d)
-    a = _finite_square(a)
-    b = np.asarray(b, dtype=float)
+    d = float(check_finite("delta", delta))
+    a, b = system(a, b)
     n = a.shape[0]
-    if b.shape != (n,):
-        raise ArgumentError(f"b must have shape ({n},) to match a, got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ArgumentError("b has non-finite entries")
     ident = np.eye(n)
     lhs = ident - 0.5 * d * a
     rhs = np.concatenate([ident + 0.5 * d * a, d * b[:, None]], axis=-1)
@@ -435,15 +420,14 @@ def bilinear_discretize(
 
 
 def frobenius_rel_diff(m1: np.ndarray, m2: np.ndarray) -> float:
-    """||m1 - m2||_F / ||m1||_F.
+    """||m1 - m2||_F / ||m1||_F of two finite real arrays.
 
     Both operands are first scaled by the power of two that brings max|m1|
     into [1/2, 1), so the squared entries cannot overflow (M(e) at N=256
     has entries near 1.7e238).  The scaling is exact for normal floats,
     so a ratio that was finite without it is unchanged.
     """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
+    m1, m2 = finite_array("m1", m1), finite_array("m2", m2)
     if m1.shape != m2.shape:
         raise ArgumentError(f"shape mismatch: {m1.shape} vs {m2.shape}")
     if m1.size:

@@ -19,10 +19,10 @@ from numbers import Real
 
 import numpy as np
 
-from ._schema import check_finite, finite_real
+from ._schema import check_finite, finite_array, finite_real, system
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
-from .matrices import FohVectors
+from .matrices import FOH, ZOH, FohVectors, check_hold
 from .quadrature import QuadratureConfig, panel_nodes
 from .warp import WarpSpec
 
@@ -41,12 +41,7 @@ class MemoryState:
 
     def __post_init__(self):
         check_finite("t", self.t)
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1:
-            raise ArgumentError(f"coeffs must be a vector, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ArgumentError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", finite_array("coeffs", self.coeffs, 1))
 
 
 @dataclass(frozen=True)
@@ -58,10 +53,10 @@ class SignalTrace:
     t0: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values)
         if v.ndim != 1 or v.size == 0:
             raise ArgumentError(f"values must be a nonempty 1-D array, got shape {v.shape}")
-        if not np.isfinite(v).all():
+        if v.dtype.kind == "f" and not np.isfinite(v).all():
             i = int(np.argmin(np.isfinite(v)))
             raise ArgumentError(f"values must be finite; sample {i} is {float(v[i])!r}")
         if not (finite_real(self.delta) and finite_real(self.t0) and self.delta > 0.0):
@@ -70,7 +65,7 @@ class SignalTrace:
             raise ArgumentError(
                 f"delta must be positive and t0 finite, got delta={delta}, t0={t0}"
             )
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", finite_array("values", v))  # a real dtype
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "t0", float(self.t0))
         # Each time t0 + k delta rounds to within an ulp of the largest |t|.
@@ -163,33 +158,20 @@ def step(
     *,
     delta: float,
 ) -> MemoryState:
-    """One update c' = a c + (input contribution); time advances by delta.
-    a and b_model are checked as in run, and the state must be of a's size."""
-    a, columns = _operands(a, b_model)
+    """One update c' = a c + (input contribution) over a finite step delta > 0,
+    with a and b_model checked as in run, finite real inputs and a state of a's size."""
+    foh = isinstance(b_model, FohVectors)
+    check_hold(FOH if foh else ZOH, delta)
+    a, *columns = system(a, *(b_model if foh else [b_model]), names=("a", "b_model"))
     if state.coeffs.shape != (a.shape[0],):
         raise ArgumentError(f"state has shape {state.coeffs.shape}, a has shape {a.shape}")
-    if not isinstance(b_model, FohVectors):
-        coeffs = a @ state.coeffs + columns[0] * u_next
-    elif u_prev is None:
+    if foh and u_prev is None:
         raise ArgumentError("first-order-hold input needs u_prev")
-    else:
-        coeffs = a @ state.coeffs + columns[0] * u_next + columns[1] * u_prev
+    coeffs = a @ state.coeffs
+    for name, column, u in zip(("u_next", "u_prev"), columns, (u_next, u_prev)):
+        check_finite(name, u)
+        coeffs = coeffs + column * u
     return MemoryState(coeffs=coeffs, t=state.t + delta)
-
-
-def _operands(a, b_model) -> tuple[np.ndarray, list[np.ndarray]]:
-    """a as a float square matrix and b_model's vectors (one, or FOH's
-    v_next and v_prev) as float vectors of a's size; ArgumentError if not."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ArgumentError(f"a must be a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    columns = (b_model.v_next, b_model.v_prev) if isinstance(b_model, FohVectors) else (b_model,)
-    columns = [np.asarray(col, dtype=float) for col in columns]
-    if any(col.shape != (n,) for col in columns):
-        shapes = [col.shape for col in columns]
-        raise ArgumentError(f"b_model vectors must have shape ({n},) to match a, got {shapes}")
-    return a, columns
 
 
 class Trajectory(Sequence):
@@ -399,9 +381,9 @@ def run(trace: SignalTrace, a: np.ndarray, b_model) -> Trajectory:
     filled from one rolling power a^{j+1} (with a (K, N, m) kernel), not a
     stack of all K+1 powers.
     """
-    a, columns = _operands(a, b_model)
-    n, foh = a.shape[0], isinstance(b_model, FohVectors)
-    b = np.column_stack(columns)
+    foh = isinstance(b_model, FohVectors)  # FOH's vectors are v_next and v_prev
+    a, *columns = system(a, *(b_model if foh else [b_model]), names=("a", "b_model"))
+    n, b = a.shape[0], np.column_stack(columns)
 
     u = trace.values
     steps, m = u.size, b.shape[1]
@@ -453,9 +435,7 @@ def reconstruct(
         raise ArgumentError(
             f"state has {state.coeffs.size} coefficients, basis has n_basis={basis.n_basis}"
         )
-    s = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    if not np.isfinite(s).all():
-        raise ArgumentError(f"grid points must be finite, got {float(s[~np.isfinite(s)][0])!r}")
+    s = np.atleast_1d(finite_array("s_grid", s_grid))
     if np.any(s > state.t):
         raise ArgumentError(f"grid points must not exceed t={state.t}")
     return state.coeffs @ phi_matrix(basis, warp.f(s - state.t))
@@ -473,9 +453,10 @@ def project_direct(
     over the canonical interval.  u is called once, on the array of history
     times s at the rule's nodes, and must return one value per node.  A
     result of another shape, or a non-finite value, raises ArgumentError;
-    the latter names the first history time s where it occurs."""
+    the latter names the first history time s where it occurs.  t must be
+    a finite real."""
     z, w = panel_nodes(0.0, 1.0, quad)
-    s = t + warp.g(z)
+    s = check_finite("t", t) + warp.g(z)
     vals = np.asarray(u(s), dtype=float)
     if vals.shape != s.shape:
         raise ArgumentError(

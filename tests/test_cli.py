@@ -514,7 +514,11 @@ class TestRefusedCommands:
           "total_time=1e+300 / delta=0.01 is 1e+302 samples"),
          (["reconstruct", "--delta", "1e-320"], "total_time=10.0 / delta=1e-320 is inf samples"),
          (["reconstruct", "--signal", "sine", "--total-time", "1e30"],
-          "total_time=1e+30 / delta=0.01 is 1e+32 samples")],
+          "total_time=1e+30 / delta=0.01 is 1e+32 samples"),
+         # a_gen divides by h before tau, so no h * tau underflows to a
+         # bare RuntimeWarning first; the step factor is then refused
+         pytest.param(["tables", "--tau", "1e-300", "--n", "4"], "out of float range",
+                      id="tau-1e-300-out-of-float-range")],
     )
     def test_refused_input_makes_no_directory(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"
@@ -750,6 +754,10 @@ class TestConfigHandling:
         arrays, meta = load_matrices_json(tmp_path / "matrices.json")
         assert meta["tau"] == 2.0
         np.testing.assert_allclose(arrays["b_gen"], np.sqrt(2 * np.arange(4) + 1) / 2.0)
+        # the reference pair is at rate tau too: -(a_gen + I / tau)^T = a_hippo
+        stable = -(arrays["a_gen"] + np.eye(4) / 2.0).T
+        assert frobenius_rel_diff(arrays["a_hippo"], stable) <= 1e-14
+        np.testing.assert_array_equal(arrays["b_hippo"], arrays["b_gen"])
 
     @pytest.mark.parametrize(
         "raw, key",

@@ -39,18 +39,22 @@ def check_finite(name: str, value):
     return value
 
 
-def finite_array(name: str, value, ndim: int | None = None) -> np.ndarray:
-    """value as a float array; an ArgumentError naming it unless it holds
-    integers or floats (not bools, complex numbers, strings or objects),
-    has ndim dimensions when ndim is given, and every entry is finite."""
-    arr = np.asarray(value)
+def finite_array(name: str, value, ndim: int | None = None, finite: bool = True) -> np.ndarray:
+    """value as a float array; an ArgumentError naming it unless it is a
+    rectangular (not ragged) array of integers or floats (not bools, complex
+    numbers, strings or objects), of ndim dimensions if given, whose entries
+    are finite unless finite=False (the first that is not is named by index)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # numpy's text for a ragged nesting
+        raise ArgumentError(f"{name} must be a rectangular array: {exc}") from None
     if arr.dtype.kind not in "iuf":
         raise ArgumentError(f"{name} must hold finite real numbers, got dtype {arr.dtype}")
     if ndim is not None and arr.ndim != ndim:
         shape = ("a scalar", "a vector", "a matrix")[ndim]
         raise ArgumentError(f"{name} must be {shape}, got shape {arr.shape}")
-    if not (finite := np.isfinite(arr)).all():
-        i = np.unravel_index(np.argmin(finite), arr.shape)  # named as in lag_matrix's c[i]
+    if finite and not (ok := np.isfinite(arr)).all():
+        i = np.unravel_index(np.argmin(ok), arr.shape)
         raise ArgumentError(f"{name}{list(map(int, i)) if i else ''} must be finite, got {arr[i]}")
     return arr.astype(float, copy=False)
 

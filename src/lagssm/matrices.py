@@ -156,18 +156,13 @@ def lag_matrix(basis: BasisSpec, c: float | np.ndarray) -> np.ndarray:
     For the exponential warp with rate tau, M(exp(delta / tau)) is a_delta;
     exact_shift builds the shifts c M(c).
     """
-    cs = np.asarray(c)
-    if cs.dtype.kind not in "iuf":  # complex, bool, string or object c
-        raise ArgumentError(f"c must be a positive finite real, got {cs.tolist()!r} ({cs.dtype})")
-    cs = cs.astype(float, copy=False)
+    cs = finite_array("c", c)
     if cs.ndim > 1:
         raise ArgumentError(f"c must be a scalar or a 1-D array, got shape {cs.shape}")
     stack = cs.reshape(-1)
-    bad = ~(np.isfinite(stack) & (stack > 0.0))
-    if bad.any():
+    if (bad := stack <= 0.0).any():
         i = int(np.argmax(bad))
-        where = f"c[{i}]" if cs.ndim else "c"
-        raise ArgumentError(f"{where} must be a positive finite real, got {stack[i]}")
+        raise ArgumentError(f"c{[i] if cs.ndim else ''} must be positive, got {stack[i]}")
     n = basis.n_basis
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         m = _dilation(basis, cs)
@@ -244,7 +239,7 @@ def hold_vectors(
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> np.ndarray | FohVectors:
     """ZOH vector or FOH pair from the forward shift exact_shift(basis, warp,
-    delta) = c M(c), c = f(-delta).
+    delta) = c M(c), c = f(-delta), a finite square matrix of the basis's size.
 
     Row 0 of c M(c) integrates phi_n over [0, c], so the ZOH vector, the
     integral of phi_n over [c, 1], is its negative plus 1 - c in entry 0
@@ -252,6 +247,10 @@ def hold_vectors(
     phi_n * g, which is not polynomial and stays on the composite rule.
     """
     check_hold(model, delta)
+    (forward,) = system(forward, names=("forward",))
+    if len(forward) != basis.n_basis:
+        raise ArgumentError(
+            f"forward must have n_basis={basis.n_basis} rows, got shape {forward.shape}")
     i1 = -forward[0]
     i1[0] = -np.expm1(-delta / warp.rate)
     if model == ZOH:

@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ._schema import check_fields
+from ._schema import check_fields, check_finite, finite_array
 from .basis import _legendre_stack
 from .errors import ArgumentError
 
@@ -86,8 +86,8 @@ def gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_nodes(a: float, b: float, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened nodes and weights of the composite rule on [a, b]."""
-    if a > b:
+    """Flattened nodes and weights of the composite rule on [a, b], finite reals."""
+    if check_finite("a", a) > check_finite("b", b):
         raise ArgumentError(f"need a <= b, got a={a}, b={b}")
     x, w = gauss_rule(cfg.points_per_panel)
     edges = np.linspace(a, b, cfg.panels + 1)
@@ -104,14 +104,14 @@ def integrate(fn, a: float, b: float, cfg: QuadratureConfig = QuadratureConfig()
     Exact (to rounding) for polynomials of degree <= 2 * points_per_panel - 1.
     fn is called on every node in order, then the rule is summed once.
     Raises ArgumentError naming the first abscissa where fn returns a
-    non-finite value; panel_nodes rejects a > b.
+    non-finite value, or for a value that is not real; a and b must be
+    finite reals, and panel_nodes rejects a > b.
     """
-    if a == b:
+    if check_finite("a", a) == check_finite("b", b):
         return 0.0
     nodes, weights = panel_nodes(a, b, cfg)
-    vals = np.array([fn(z) for z in nodes], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = nodes[~np.isfinite(vals)][0]
-        raise ArgumentError(f"integrand non-finite at z={float(bad)!r}")
+    vals = finite_array("fn(z)", [fn(z) for z in nodes], 1, finite=False)
+    if not (finite := np.isfinite(vals)).all():
+        raise ArgumentError(f"integrand non-finite at z={float(nodes[np.argmin(finite)])!r}")
     return float(weights @ vals)
 

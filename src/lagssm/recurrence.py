@@ -15,11 +15,10 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from ._schema import check_finite, finite_array, finite_real, system
+from ._schema import check_finite, finite_array, system
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import FOH, ZOH, FohVectors, check_hold
@@ -53,21 +52,14 @@ class SignalTrace:
     t0: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 1 or v.size == 0:
-            raise ArgumentError(f"values must be a nonempty 1-D array, got shape {v.shape}")
-        if v.dtype.kind == "f" and not np.isfinite(v).all():
-            i = int(np.argmin(np.isfinite(v)))
-            raise ArgumentError(f"values must be finite; sample {i} is {float(v[i])!r}")
-        if not (finite_real(self.delta) and finite_real(self.t0) and self.delta > 0.0):
-            # a number prints plainly, anything else by its repr
-            delta, t0 = (x if isinstance(x, Real) else repr(x) for x in (self.delta, self.t0))
-            raise ArgumentError(
-                f"delta must be positive and t0 finite, got delta={delta}, t0={t0}"
-            )
-        object.__setattr__(self, "values", finite_array("values", v))  # a real dtype
+        v = finite_array("values", self.values, 1)
+        if v.size == 0:
+            raise ArgumentError("values must be nonempty")
+        if check_finite("delta", self.delta) <= 0.0:
+            raise ArgumentError(f"delta must be positive, got {self.delta}")
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "t0", float(check_finite("t0", self.t0)))
         # Each time t0 + k delta rounds to within an ulp of the largest |t|.
         # A delta above twice _grid_slack (8 ulps) keeps neighbours distinct
         # and the +-_grid_slack windows that from_csv allows around them
@@ -438,7 +430,8 @@ def reconstruct(
     s = np.atleast_1d(finite_array("s_grid", s_grid))
     if np.any(s > state.t):
         raise ArgumentError(f"grid points must not exceed t={state.t}")
-    return state.coeffs @ phi_matrix(basis, warp.f(s - state.t))
+    with np.errstate(over="ignore"):  # a lag, or lag / tau, below float range is -inf: z = 0
+        return state.coeffs @ phi_matrix(basis, warp.f(s - state.t))
 
 
 def project_direct(
@@ -451,19 +444,18 @@ def project_direct(
     """Offline oracle: measure-weighted projection of the history onto the
     warped basis, computed as c_n = integral of phi_n(z) u(sigma_t^{-1}(z))
     over the canonical interval.  u is called once, on the array of history
-    times s at the rule's nodes, and must return one value per node.  A
-    result of another shape, or a non-finite value, raises ArgumentError;
-    the latter names the first history time s where it occurs.  t must be
-    a finite real."""
+    times s at the rule's nodes, and must return one real value per node.
+    A result of another shape or dtype, or a non-finite value, raises
+    ArgumentError; the latter names the first history time s where it
+    occurs.  t must be a finite real."""
     z, w = panel_nodes(0.0, 1.0, quad)
     s = check_finite("t", t) + warp.g(z)
-    vals = np.asarray(u(s), dtype=float)
+    vals = finite_array("u(s)", u(s), finite=False)
     if vals.shape != s.shape:
         raise ArgumentError(
             f"u must return one value per history time: got shape {vals.shape} for {s.size} times"
         )
-    if not np.all(np.isfinite(vals)):
-        bad = s[~np.isfinite(vals)][0]
-        raise ArgumentError(f"signal non-finite at s={float(bad)!r}")
+    if not (finite := np.isfinite(vals)).all():
+        raise ArgumentError(f"signal non-finite at s={float(s[np.argmin(finite)])!r}")
     coeffs = phi_matrix(basis, z) @ (w * vals)
     return MemoryState(coeffs=coeffs, t=t)

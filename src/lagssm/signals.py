@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, repeat
+from numbers import Integral
 
 import numpy as np
 
-from ._schema import check_fields
+from ._schema import check_fields, check_finite, finite_array
 from .errors import ArgumentError, NumericError
 from .recurrence import SignalTrace
 
@@ -112,11 +113,14 @@ def lorenz63(params: LorenzParams) -> SignalTrace:
 
 
 def sine_mixture(freqs, amps, phases, delta: float, steps: int) -> SignalTrace:
-    """Samples of sum_i amps[i] * sin(2 pi freqs[i] t + phases[i])."""
-    freqs, amps, phases = (np.asarray(x, dtype=float) for x in (freqs, amps, phases))
+    """Samples of sum_i amps[i] * sin(2 pi freqs[i] t + phases[i]), t = k delta, k < steps."""
+    names = ("freqs", "amps", "phases")
+    freqs, amps, phases = (finite_array(k, v, 1) for k, v in zip(names, (freqs, amps, phases)))
     if not (freqs.shape == amps.shape == phases.shape):
         raise ArgumentError("freqs, amps, phases must have equal lengths")
-    t = delta * np.arange(steps)
+    if type(steps) is bool or not isinstance(steps, Integral) or steps <= 0:
+        raise ArgumentError(f"steps must be a positive integer, got {steps!r}")
+    t = check_finite("delta", delta) * np.arange(steps)
     values = (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t + phases[:, None])).sum(axis=0)
     return SignalTrace(values, delta)
 

@@ -558,7 +558,7 @@ class TestRefusedCommands:
 
     @pytest.mark.parametrize(
         "content, line",
-        [("t,u\n0.0,1.0\n0.01,nan\n0.02,3.0\n", "values must be finite; sample 1 is nan"),
+        [("t,u\n0.0,1.0\n0.01,nan\n0.02,3.0\n", "values[1] must be finite, got nan"),
          ("t,u\n0.0,1.0\n0.01,2.0\n0.05,3.0\n",
           "row 3: times must be uniformly spaced by 0.025, got 0.01")],
         ids=["nan-value", "uneven-times"],

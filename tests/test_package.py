@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lagssm
-from lagssm import ArgumentError, NumericError, basis, matrices
+from lagssm import ArgumentError, NumericError, basis, matrices, quadrature, signals
 
 
 def test_all_names_resolve_and_are_unique():
@@ -17,6 +17,7 @@ def test_all_names_resolve_and_are_unique():
 
 
 SPEC, WARP, I = lagssm.BasisSpec(2), lagssm.WarpSpec(), np.eye(2)
+RAGGED = [[1.0], [1.0, 2.0]]
 STATE, TRACE = lagssm.MemoryState(np.zeros(2), 0.0), lagssm.SignalTrace(np.ones(5), 0.1)
 
 # id -> (the operand that begins the error's text, the call)
@@ -78,6 +79,33 @@ BAD_OPERANDS = {
     "step-str-input": ("u_next", lambda: lagssm.step(STATE, I, np.ones(2), "x", delta=0.1)),
     "step-str-delayed-input": ("u_prev", lambda: lagssm.step(
         STATE, I, lagssm.FohVectors(np.ones(2), np.ones(2)), 1.0, "x", delta=0.1)),
+    # A ragged nesting, which numpy refuses with a bare ValueError.
+    "matrix-exp-ragged": ("m", lambda: lagssm.matrix_exp(RAGGED)),
+    "lag-matrix-ragged": ("c", lambda: lagssm.lag_matrix(SPEC, RAGGED)),
+    "phi-matrix-ragged": ("z", lambda: basis.phi_matrix(SPEC, RAGGED)),
+    "frobenius-ragged": ("m1", lambda: lagssm.frobenius_rel_diff(RAGGED, RAGGED)),
+    "correct-ragged": ("a_delta", lambda: lagssm.correct_a_delta(RAGGED, 0.1)),
+    "signal-trace-ragged": ("values", lambda: lagssm.SignalTrace(RAGGED, 0.1)),
+    "sine-ragged-freqs": ("freqs", lambda: signals.sine_mixture(RAGGED, [1.0], [0.0], 0.1, 3)),
+    "project-direct-ragged": ("u(s)", lambda: lagssm.project_direct(
+        lambda s: RAGGED, SPEC, WARP, 1.0)),
+    # hold_vectors' forward shift: a finite square matrix of the basis's size.
+    "hold-str-forward": ("forward", lambda: matrices.hold_vectors(
+        np.array([["a", "b"], ["c", "d"]]), SPEC, WARP, 0.1, "zoh")),
+    "hold-foh-forward-size": ("forward", lambda: matrices.hold_vectors(
+        np.eye(3), SPEC, WARP, 0.1, "foh")),
+    "hold-zoh-forward-size": ("forward", lambda: matrices.hold_vectors(
+        np.eye(3), SPEC, WARP, 0.1, "zoh")),
+    # A callback's values, a rule's endpoints and a sample count.
+    "project-direct-str-values": ("u(s)", lambda: lagssm.project_direct(
+        lambda s: np.full(s.shape, "a"), SPEC, WARP, 1.0)),
+    "integrate-str-values": ("fn(z)", lambda: quadrature.integrate(lambda z: "a", 0.0, 1.0)),
+    "panel-nodes-nan-end": ("a", lambda: quadrature.panel_nodes(
+        np.nan, 1.0, lagssm.QuadratureConfig())),
+    "integrate-inf-end": ("b", lambda: quadrature.integrate(lambda z: z, 0.0, np.inf)),
+    "sine-fractional-steps": ("steps", lambda: signals.sine_mixture([1.0], [1.0], [0.0], 0.1, 2.5)),
+    "sine-bool-steps": ("steps", lambda: signals.sine_mixture([1.0], [1.0], [0.0], 0.1, True)),
+    "sine-str-freqs": ("freqs", lambda: signals.sine_mixture(["a"], [1.0], [0.0], 0.1, 3)),
 }
 
 

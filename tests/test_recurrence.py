@@ -196,6 +196,16 @@ class TestReconstruct:
         val = reconstruct(state, spec, W, np.array([1.5]))
         assert val[0] == pytest.approx(np.sqrt(3.0), abs=1e-14)
 
+    def test_lag_below_float_range_reads_z_zero(self):
+        """A lag s - t, or a lag / tau, that overflows to -inf sits at z = 0,
+        as any lag whose exp(lag / tau) underflows does, without a
+        RuntimeWarning (an error here)."""
+        spec = BasisSpec(n_basis=2)
+        at_zero = np.ones(2) @ phi_matrix(spec, 0.0)
+        for t, s, warp in [(1e308, -1e308, W), (0.0, -1e300, WarpSpec(rate=1e-10))]:
+            got = reconstruct(MemoryState(coeffs=np.ones(2), t=t), spec, warp, [s])
+            np.testing.assert_array_equal(got, at_zero)
+
     def test_future_grid_rejected(self):
         spec = BasisSpec(n_basis=2)
         state = MemoryState(coeffs=np.zeros(2), t=1.0)
@@ -305,24 +315,29 @@ class TestSignalTrace:
         assert type(run(trace, 0.5 * np.eye(3), np.ones(3))[-1].t) is float
 
     def test_constructor_checks(self):
-        with pytest.raises(ArgumentError, match="nonempty 1-D"):
+        with pytest.raises(ArgumentError, match="^values must be nonempty"):
             SignalTrace(np.zeros(0), 0.1)
-        with pytest.raises(ArgumentError, match="nonempty 1-D"):
+        with pytest.raises(ArgumentError, match=r"^values must be a vector, got shape \(2, 2\)"):
             SignalTrace(np.zeros((2, 2)), 0.1)
-        for delta, t0 in [(0.0, 0.0), (-0.1, 0.0), (np.nan, 0.0), (np.inf, 0.0),
-                          (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf),
-                          (np.float64(-0.1), np.float32(0.5))]:
-            with pytest.raises(ArgumentError, match=f"delta must be positive and t0 finite, got delta={delta}, t0={t0}"):
-                SignalTrace(np.zeros(3), delta, t0)
-        # A wrong-typed delta or t0 meets the finite-real rule of every
-        # config float, not a bare TypeError; an int delta is a real.
-        for delta, t0, shown in [("0.1", 0.0, "delta='0.1', t0=0.0"),
-                                 (0.1, None, "delta=0.1, t0=None"),
-                                 (np.array([0.1]), 0.0, "delta=array([0.1]), t0=0.0"),
-                                 (True, 0.0, "delta=True, t0=0.0")]:
+        # delta and t0 meet the finite-real rule of every config float (a
+        # wrong type too, not a bare TypeError), then delta > 0; an int
+        # delta is a real.
+        for delta, t0, shown in [(0.0, 0.0, "delta must be positive, got 0.0"),
+                                 (-0.1, 0.0, "delta must be positive, got -0.1"),
+                                 (np.float64(-0.1), np.float32(0.5), "delta must be positive, got -0.1"),
+                                 (np.nan, 0.0, "delta must be a finite real number, got nan"),
+                                 (np.inf, 0.0, "delta must be a finite real number, got inf"),
+                                 (0.1, np.nan, "t0 must be a finite real number, got nan"),
+                                 (0.1, np.inf, "t0 must be a finite real number, got inf"),
+                                 (0.1, -np.inf, "t0 must be a finite real number, got -inf"),
+                                 ("0.1", 0.0, "delta must be a finite real number, got '0.1'"),
+                                 (0.1, None, "t0 must be a finite real number, got None"),
+                                 (np.array([0.1]), 0.0,
+                                  "delta must be a finite real number, got array([0.1])"),
+                                 (True, 0.0, "delta must be a finite real number, got True")]:
             with pytest.raises(ArgumentError) as exc:
                 SignalTrace(np.zeros(3), delta, t0)
-            assert str(exc.value) == f"delta must be positive and t0 finite, got {shown}"
+            assert str(exc.value) == shown
         assert SignalTrace(np.zeros(3), 1).delta == 1.0
 
     @pytest.mark.parametrize(
@@ -474,7 +489,7 @@ class TestSignalTrace:
             SignalTrace.from_csv(path)
 
     def test_non_finite_samples_rejected(self, tmp_path):
-        with pytest.raises(ArgumentError, match="values must be finite; sample 1"):
+        with pytest.raises(ArgumentError, match=r"^values\[1\] must be finite, got nan$"):
             SignalTrace(np.array([0.0, np.nan, 1.0]), delta=0.1)
         for bad in (np.inf, -np.inf, np.nan):
             for i in (0, 2):

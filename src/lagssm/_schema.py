@@ -1,5 +1,6 @@
 """One rule for every config dataclass: each field holds a value of the kind
-its annotation names.  finite_array and system are the builders' array rules.
+its annotation names.  finite_array and system are the builders' array rules;
+write_json and write_table write every file, and read_json reads JSON ones.
 
 `float` is a finite real number and not a bool, `int` an integer and not a
 bool, `FilePath` a nonempty string without NUL; `bool`, `str`, `X | None`,
@@ -157,10 +158,47 @@ def build(cls, raw, section: str):
 
 
 def read_json(path):
-    """Parsed JSON of a config file; an unreadable file is an ArgumentError
-    naming the path."""
+    """Parsed JSON of a file; an unreadable file is an ArgumentError naming
+    the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ArgumentError(f"cannot read config file {str(path)!r}: {exc}") from exc
+        raise ArgumentError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
+def write_json(path, obj) -> None:
+    """obj in json.dump(obj, fh, indent=1)'s layout plus a newline; an ndarray goes as its
+    tolist() a row at a time through json's C encoder, so floats load back bit-identical."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_json_value(fh, obj, "\n")
+        fh.write("\n")
+
+
+def _write_json_value(fh, obj, outer: str) -> None:
+    """obj as json.dump(indent=1) writes it at the depth whose line break is outer."""
+    inner, array = outer + " ", isinstance(obj, np.ndarray)
+    if isinstance(obj, dict) and obj:
+        brackets, items = "{}", [(json.dumps(key) + ": ", v) for key, v in obj.items()]
+    elif array and obj.ndim > 1 and len(obj):
+        brackets, items = "[]", [("", row) for row in obj]
+    elif array and obj.ndim == 1 and len(obj):  # indent=1's layout from the C encoder
+        text = json.dumps(obj.tolist(), separators=("," + inner, ": "))
+        fh.write("[" + inner + text[1:-1] + outer + "]")
+        return
+    else:
+        fh.write(json.dumps(obj.tolist() if array else obj, indent=1).replace("\n", outer))
+        return
+    fh.write(brackets[0])
+    for i, (key, value) in enumerate(items):
+        fh.write(("," if i else "") + inner + key)
+        _write_json_value(fh, value, inner)
+    fh.write(outer + brackets[1])
+
+
+def write_table(path, header: list[str], table) -> None:
+    """CSV in csv.writer's excel layout; floats in shortest-round-trip repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in np.asarray(table, dtype=float).tolist():
+            fh.write(",".join(map(repr, row)) + "\r\n")

@@ -34,14 +34,13 @@ builds, bit for bit.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
-from ._schema import FilePath, build, check_fields, read_json
+from ._schema import FilePath, build, check_fields, read_json, write_json, write_table
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import (
@@ -63,7 +62,7 @@ from .matrices import (
     step_factor,
 )
 from .quadrature import QuadratureConfig
-from .recurrence import SignalTrace, _grid_slack, _write_table, run
+from .recurrence import SignalTrace, _grid_slack, run
 from .signals import LorenzParams, LorenzSystem, lorenz63, normalize_trace, sine_mixture
 from .warp import WarpSpec
 
@@ -200,13 +199,6 @@ def _write_outputs(out_dir: str, files: dict) -> None:
         raise ArgumentError(f"cannot {what}: [Errno {exc.errno}] {exc.strerror}") from exc
 
 
-def _write_json(path, obj) -> None:
-    """obj in json.dump(indent=1)'s layout, with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-
-
 def make_signal(cfg: ExperimentConfig) -> SignalTrace:
     """Materialize the configured input trace with spacing cfg.delta."""
     if cfg.delta == 0.0:
@@ -296,9 +288,9 @@ def cmd_tables(cfg: ExperimentConfig) -> list[Check]:
         )
     )
     _write_outputs(cfg.output_dir, {
-        "table1.csv": (_write_table, ["delta", "diff"], rows1),
-        "table2.csv": (_write_table, ["n", "diff"], rows2),
-        "table3.csv": (_write_table, ["delta", "diff", "diff_exact_exp", "cond_a_delta"], rows3),
+        "table1.csv": (write_table, ["delta", "diff"], rows1),
+        "table2.csv": (write_table, ["n", "diff"], rows2),
+        "table3.csv": (write_table, ["delta", "diff", "diff_exact_exp", "cond_a_delta"], rows3),
     })
     return checks
 
@@ -340,8 +332,8 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[Check]:
     }
     table = np.column_stack([trace.t0 + x, rec_model, rec_base, omega])
     _write_outputs(cfg.output_dir, {
-        "recon.csv": (_write_table, ["s", "u_model", "u_baseline", "omega"], table),
-        "summary.json": (_write_json, summary),
+        "recon.csv": (write_table, ["s", "u_model", "u_baseline", "omega"], table),
+        "summary.json": (write_json, summary),
     })
     return checks
 
@@ -386,7 +378,7 @@ def cmd_lagshift(
         )
     table = np.column_stack([s_grid, original, shifted])
     _write_outputs(cfg.output_dir, {
-        "lagshift.csv": (_write_table, ["s", "original", "shifted"], table),
+        "lagshift.csv": (write_table, ["s", "original", "shifted"], table),
     })
     return checks
 

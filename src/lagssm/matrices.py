@@ -16,13 +16,12 @@ experiment drivers).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._schema import check_finite, finite_array, system
+from ._schema import check_finite, finite_array, read_json, system, write_json
 from .basis import BasisSpec, boundary_values, jacobi_offdiagonal, phi_matrix
 from .errors import ArgumentError, NumericError
 from .quadrature import QuadratureConfig, panel_nodes
@@ -442,46 +441,22 @@ def frobenius_rel_diff(m1: np.ndarray, m2: np.ndarray) -> float:
 
 
 def save_matrices_json(path, arrays: dict, meta: dict) -> None:
-    """Write named arrays (str keys) with a schema-versioned metadata header.
-
-    The file has json.dump(payload, fh, indent=1)'s layout, but is written
-    one array row at a time through the C encoder.  Floats go through
-    Python's shortest-round-trip repr, so a load returns bit-identical
-    values.
-    """
-    head = json.dumps({"schema_version": MATRIX_SCHEMA_VERSION, "meta": meta}, indent=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[: -len("\n}")] + ',\n "matrices": {')
-        for i, (name, value) in enumerate(arrays.items()):
-            fh.write(("," if i else "") + "\n  " + json.dumps(name) + ": ")
-            _write_json_array(fh, np.asarray(value), 2)
-        fh.write("\n }\n}\n" if arrays else "}\n}\n")
-
-
-def _write_json_array(fh, a: np.ndarray, level: int) -> None:
-    """Write a.tolist() as json.dump(indent=1) would at nesting depth level."""
-    if a.ndim == 0 or len(a) == 0:
-        fh.write(json.dumps(a.tolist()))
-        return
-    inner = "\n" + " " * (level + 1)
-    if a.ndim == 1:
-        items = json.dumps(a.tolist(), separators=("," + inner, ": "))
-        fh.write("[" + inner + items[1:-1] + "\n" + " " * level + "]")
-        return
-    fh.write("[")
-    for i, sub in enumerate(a):
-        fh.write(("," if i else "") + inner)
-        _write_json_array(fh, sub, level + 1)
-    fh.write("\n" + " " * level + "]")
+    """Named arrays (str keys) under a schema-versioned header, in write_json's layout."""
+    matrices = {name: np.asarray(value) for name, value in arrays.items()}
+    write_json(path, {"schema_version": MATRIX_SCHEMA_VERSION, "meta": meta, "matrices": matrices})
 
 
 def load_matrices_json(path) -> tuple[dict, dict]:
-    """Inverse of save_matrices_json: (arrays, meta)."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("schema_version") != MATRIX_SCHEMA_VERSION:
-        raise ArgumentError(
-            f"unsupported schema version {payload.get('schema_version')!r}"
-        )
-    arrays = {k: np.asarray(v, dtype=float) for k, v in payload["matrices"].items()}
+    """Inverse of save_matrices_json: (arrays, meta).  An unreadable file or
+    one not of that layout is an ArgumentError naming the path; NaN and
+    Infinity entries, which the writer emits, are read back."""
+    payload, where = read_json(path), f"matrices file {str(path)!r}"
+    if not isinstance(payload, dict) or not all(
+        isinstance(payload.get(key), dict) for key in ("meta", "matrices")
+    ):
+        raise ArgumentError(f"{where} must be an object holding the objects meta and matrices")
+    if (version := payload.get("schema_version")) != MATRIX_SCHEMA_VERSION:
+        raise ArgumentError(f"{where}: unsupported schema version {version!r}")
+    arrays = {k: finite_array(f"{where}: {k}", v, finite=False)
+              for k, v in payload["matrices"].items()}
     return arrays, payload["meta"]

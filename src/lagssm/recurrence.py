@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schema import check_finite, finite_array, system
+from ._schema import check_finite, finite_array, system, write_table
 from .basis import BasisSpec, phi_matrix
 from .errors import ArgumentError
 from .matrices import FOH, ZOH, FohVectors, check_hold
@@ -78,7 +78,7 @@ class SignalTrace:
         return self.t0 + self.delta * np.arange(self.values.size)
 
     def to_csv(self, path) -> None:
-        _write_table(path, ["t", "u"], np.column_stack([self.times, self.values]))
+        write_table(path, ["t", "u"], np.column_stack([self.times, self.values]))
 
     @classmethod
     def from_csv(cls, path) -> "SignalTrace":
@@ -124,15 +124,6 @@ class SignalTrace:
                 f"times must be {what}, got {float(times[i])!r}"
             )
         return trace
-
-
-def _write_table(path, header: list[str], table) -> None:
-    """CSV in csv.writer's excel layout; floats in shortest-round-trip repr.
-    The one writer of every CSV the package emits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in np.asarray(table, dtype=float).tolist():
-            fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def _grid_slack(t0: float, t_end: float) -> float:

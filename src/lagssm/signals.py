@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
 from numbers import Integral
@@ -47,6 +48,15 @@ class LorenzParams(LorenzSystem):
                                 f"(0, MAX_LORENZ_DT={MAX_LORENZ_DT}], got {self.dt}")
         if self.steps <= 0:
             raise ArgumentError(f"steps must be positive, got {self.steps}")
+
+
+@contextmanager
+def _allocating(steps: int):
+    """A MemoryError inside is an ArgumentError naming the sample count."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ArgumentError(f"steps={steps} samples cannot be allocated: {exc}") from None
 
 
 def lorenz_rhs(state: np.ndarray, sigma: float, rho: float, beta: float) -> np.ndarray:
@@ -101,7 +111,8 @@ def lorenz63(params: LorenzParams) -> SignalTrace:
 
     gen = xs(*(float(v) for v in params.x0))
     next(islice(gen, params.burn_in, params.burn_in), None)  # skip the burn-in
-    out = np.fromiter(gen, float, count=params.steps)
+    with _allocating(params.steps):
+        out = np.fromiter(gen, float, count=params.steps)
     if not all(map(math.isfinite, next(gen))):
         state = np.asarray(params.x0, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -120,8 +131,10 @@ def sine_mixture(freqs, amps, phases, delta: float, steps: int) -> SignalTrace:
         raise ArgumentError("freqs, amps, phases must have equal lengths")
     if type(steps) is bool or not isinstance(steps, Integral) or steps <= 0:
         raise ArgumentError(f"steps must be a positive integer, got {steps!r}")
-    t = check_finite("delta", delta) * np.arange(steps)
-    values = (amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t + phases[:, None])).sum(axis=0)
+    with _allocating(steps):
+        t = check_finite("delta", delta) * np.arange(steps)
+        waves = np.sin(2.0 * np.pi * freqs[:, None] * t + phases[:, None])
+        values = (amps[:, None] * waves).sum(axis=0)
     return SignalTrace(values, delta)
 
 

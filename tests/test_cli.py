@@ -479,9 +479,13 @@ class TestMatricesCommand:
             load_matrices_json(path)
 
     def test_file_has_json_dump_layout(self, tmp_path):
-        """The streamed file is laid out as json.dump(..., indent=1) would."""
+        """The streamed file, and reconstruct's summary.json, are laid out as
+        json.dump(..., indent=1) would."""
         assert main(["matrices", "--out", str(tmp_path), "--n", "5"]) == 0
         text = (tmp_path / "matrices.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        assert main(["reconstruct", "--out", str(tmp_path), "--n", "5"]) == 0
+        text = (tmp_path / "summary.json").read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
 
@@ -515,6 +519,10 @@ class TestRefusedCommands:
          (["reconstruct", "--delta", "1e-320"], "total_time=10.0 / delta=1e-320 is inf samples"),
          (["reconstruct", "--signal", "sine", "--total-time", "1e30"],
           "total_time=1e+30 / delta=0.01 is 1e+32 samples"),
+         # a count an index can hold but no allocation can: 1e17 samples
+         (["reconstruct", "--total-time", "1e15"], "steps=100000000000000000 samples"),
+         (["reconstruct", "--signal", "sine", "--total-time", "1e15"],
+          "steps=100000000000000000 samples"),
          # a_gen divides by h before tau, so no h * tau underflows to a
          # bare RuntimeWarning first; the step factor is then refused
          pytest.param(["tables", "--tau", "1e-300", "--n", "4"], "out of float range",

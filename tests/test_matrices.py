@@ -634,8 +634,12 @@ class TestSerialization:
         m = np.random.default_rng(n).standard_normal((n, n))
         m.flat[: len(specials)] = specials[: m.size]
         v = np.resize(np.array(specials), n)
-        meta = {"n_basis": n, "delta": 0.01, "tau": 1.0, "note": "a, b"}
-        self.assert_json_dump_layout(tmp_path / "m.json", {"m": m, "v": v}, meta)
+        meta = {"n_basis": n, "delta": 0.01, "tau": 1.0, "note": "a, b",
+                "nested": {"list": [1, [2.5, "c"], []], "empty": {}}, "pair": [n, None]}
+        cube, empty = np.arange(float(n**3)).reshape(n, n, n), np.zeros(0)
+        arrays = {"m": m, "v": v, "cube": cube, "empty": empty}
+        self.assert_json_dump_layout(tmp_path / "m.json", arrays, meta)
+        self.assert_json_dump_layout(tmp_path / "m.json", {}, meta)
 
     def test_layout_of_empty_arrays_dict(self, tmp_path):
         self.assert_json_dump_layout(tmp_path / "m.json", {}, {"n_basis": 0})

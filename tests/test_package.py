@@ -1,6 +1,9 @@
 """The package's public names."""
 
+import os
 import re
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,6 +22,26 @@ def test_all_names_resolve_and_are_unique():
 SPEC, WARP, I = lagssm.BasisSpec(2), lagssm.WarpSpec(), np.eye(2)
 RAGGED = [[1.0], [1.0, 2.0]]
 STATE, TRACE = lagssm.MemoryState(np.zeros(2), 0.0), lagssm.SignalTrace(np.ones(5), 0.1)
+FILES = os.path.join(tempfile.gettempdir(), f"lagssm-bad-files-{os.getpid()}")
+
+
+def matrices_file(named, name, text=None):
+    """The entry for load_matrices_json on FILES/name, a file holding text
+    (no file when text is None), whose error begins with named and the path.
+    The file exists only while the call runs."""
+    path = os.path.join(FILES, name)
+
+    def call():
+        os.makedirs(FILES, exist_ok=True)
+        try:
+            if text is not None:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            return matrices.load_matrices_json(path)
+        finally:
+            shutil.rmtree(FILES, ignore_errors=True)
+
+    return f"{named} {path!r}", call
 
 # id -> (the operand that begins the error's text, the call)
 BAD_OPERANDS = {
@@ -106,6 +129,21 @@ BAD_OPERANDS = {
     "sine-fractional-steps": ("steps", lambda: signals.sine_mixture([1.0], [1.0], [0.0], 0.1, 2.5)),
     "sine-bool-steps": ("steps", lambda: signals.sine_mixture([1.0], [1.0], [0.0], 0.1, True)),
     "sine-str-freqs": ("freqs", lambda: signals.sine_mixture(["a"], [1.0], [0.0], 0.1, 3)),
+    # A matrices file that cannot be read or is not save_matrices_json's layout.
+    "matrices-file-missing": matrices_file("cannot read", "missing.json"),
+    "matrices-file-truncated": matrices_file("cannot read", "truncated.json", "{"),
+    "matrices-file-list": matrices_file("matrices file", "list.json", "[1, 2]"),
+    "matrices-file-no-matrices": matrices_file(
+        "matrices file", "no-matrices.json", '{"schema_version": 1, "meta": {}}'),
+    "matrices-file-ragged": matrices_file(
+        "matrices file", "ragged.json",
+        '{"schema_version": 1, "meta": {}, "matrices": {"a": [[1.0], [1.0, 2.0]]}}'),
+    # A sample count no allocation can hold: 8e17 bytes is past any x86-64
+    # address space, so the request fails at once.
+    "sine-steps-unallocatable": ("steps=100000000000000000", lambda: signals.sine_mixture(
+        [1.0], [1.0], [0.0], 0.1, 10**17)),
+    "lorenz-steps-unallocatable": ("steps=100000000000000000", lambda: signals.lorenz63(
+        signals.LorenzParams(steps=10**17))),
 }
 
 

@@ -169,10 +169,24 @@ def read_json(path):
 
 def write_json(path, obj) -> None:
     """obj in json.dump(obj, fh, indent=1)'s layout plus a newline; an ndarray goes as its
-    tolist() a row at a time through json's C encoder, so floats load back bit-identical."""
+    tolist() a row at a time through json's C encoder, so floats load back bit-identical.
+    A dict key that is not a str, at any depth, is an ArgumentError before the file is opened."""
+    _check_keys(path, obj)
     with open(path, "w", encoding="utf-8") as fh:
         _write_json_value(fh, obj, "\n")
         fh.write("\n")
+
+
+def _check_keys(path, obj) -> None:
+    """ArgumentError naming the first dict key in obj's dicts and lists that is not a str."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise ArgumentError(f"cannot write {str(path)!r}: object key {key!r} is not a str")
+            _check_keys(path, value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            _check_keys(path, value)
 
 
 def _write_json_value(fh, obj, outer: str) -> None:

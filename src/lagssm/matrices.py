@@ -3,8 +3,9 @@
 Every polynomial matrix comes from one Jacobi recurrence without
 quadrature: lag_matrix's dilation M(c), whose derivative at c = 1, taken by
 a complex step, is the generator build_a_gen, and whose shifts c M(c) are
-exact_shift.  What still integrates on the composite rule is build_a_delta,
-the quadrature-built backward step, and FOH's Ig in hold_vectors.
+exact_shift.  build_a_delta, the backward step, keeps the composite rule
+only where a growth bound shows it accurate and is lag_matrix elsewhere;
+FOH's Ig in hold_vectors is the one other integral on the rule.
 Closed-form HiPPO-LegS matrices are provided as the reference the
 exponential-warp instance must reproduce.
 
@@ -30,12 +31,9 @@ from .warp import WarpSpec
 ZOH, FOH = "zoh", "foh"
 INPUT_MODELS = (ZOH, FOH)  # the hold models of a sampled input
 
-# build_a_delta refuses a step delta / tau above this, before it evaluates
-# the basis at exp(delta / tau) z; the cap only bounds the input.
-# Below it the rule is not accurate everywhere (its docstring gives the
-# measured domain), and the lagshift command checks its row against the
-# exact lag_matrix.
-DELTA_CAP = 0.5
+# build_a_delta keeps its rule while eps * phi_{N-1}(c) is at most this:
+# 9.3e-11 at N=64, delta/tau=0.01 (measured error 2.8e-11); 8.0e-7 at 0.03.
+_RULE_TOL = 1e-9
 
 DEFAULT_MAX_CONDITION = 1e12
 
@@ -104,31 +102,27 @@ def build_a_delta(
     delta: float,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> np.ndarray:
-    """Discrete transition of the basis stack over one step, on the
-    composite rule.
+    """Discrete transition of the basis stack over one step: entry (n, m)
+    is the integral of phi_n(z) * phi_m(f(delta + g(z))) over (0, 1], with
+    f(delta + g(z)) = c z, c = exp(delta / tau), the backward lag of z.
+    Its exact form, for any delta, is lag_matrix(basis, c): upper
+    triangular with diagonal c^n.
 
-    Entry (n, m) integrates phi_n(z) * phi_m(f(delta + g(z))) over (0, 1],
-    with f(delta + g(z)) the backward lag of z.
-    For the exponential warp this is upper triangular with diagonal
-    exp(n * delta / tau); lag_matrix(basis, exp(delta / tau)) is its exact
-    form, for any delta.
-
-    On the default 64x8 rule the top row meets that exact form to 1e-7
-    relative (max abs) only on a measured domain that shrinks with N:
-    delta / tau up to 0.5 at N=16, 0.1 at N=32, 0.03 at N=64 (2.8e-11 at
-    0.01, 5.2e-3 at 0.1) and 0.005 at N=128 (3.4e-8; 2.9e-5 at 0.01).
-    Outside it the result is wrong without a warning: N=256 at 0.01 is off
-    by 8e16.  A delta / tau above DELTA_CAP raises ArgumentError before the
-    basis is evaluated.
+    The integral is taken on the composite rule quad only where that rule
+    is accurate: N at most quad.points_per_panel, so each panel is exact
+    for the degree-(2N - 2) integrand, and the rounding error predicted by
+    machine epsilon times the growth bound phi_{N-1}(c) =
+    sqrt(2N - 1) P_{N-1}(2c - 1) at most _RULE_TOL.  Everywhere else the
+    result is lag_matrix(basis, c), and an M(c) out of float range is its
+    NumericError.
     """
     if check_finite("delta", delta) < 0.0:
         raise ArgumentError(f"delta must be nonnegative, got {delta}")
-    if delta / warp.rate > DELTA_CAP:
-        raise ArgumentError(
-            f"delta/tau={delta / warp.rate:g} (delta={delta}, tau={warp.rate}) exceeds "
-            f"the cap {DELTA_CAP} of the quadrature-built a_delta; "
-            "lag_matrix(basis, exp(delta / tau)) is exact for any delta"
-        )
+    c = step_factor(warp, delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound takes lag_matrix
+        growth = phi_matrix(basis, c)[-1, 0]
+    if basis.n_basis > quad.points_per_panel or not np.finfo(float).eps * growth <= _RULE_TOL:
+        return lag_matrix(basis, c)
     z, w = panel_nodes(0.0, 1.0, quad)
     phi = phi_matrix(basis, z)
     phi_lagged = phi_matrix(basis, warp.f(delta + warp.g(z)))
@@ -224,7 +218,7 @@ def exact_shift(basis: BasisSpec, warp: WarpSpec, delta: float) -> np.ndarray:
     """c M(c), c = f(-delta): for delta > 0 the forward shift of the basis
     stack (its transpose is exp(delta a_hippo / tau); row 0 gives
     hold_vectors), for delta < 0 the exact backward shift, which
-    backward_shift(build_a_delta(...)) builds on the composite rule."""
+    backward_shift(build_a_delta(...)) meets to build_a_delta's accuracy."""
     c = step_factor(warp, -check_finite("delta", delta))  # checked before it is negated
     return c * lag_matrix(basis, c)
 

@@ -1,10 +1,11 @@
 """Composite Gauss-Legendre quadrature over finite intervals.
 
 The polynomial matrices (lag_matrix, build_a_gen, exact_shift) need no
-rule; what still runs on this one is the quadrature-built build_a_delta,
-FOH's Ig in matrices.hold_vectors, recurrence.project_direct and
-integrate.  The rule is deterministic: no adaptivity, fixed node order,
-fixed summation order, so repeated builds are bit-identical.
+rule; what still runs on this one is build_a_delta where its growth bound
+shows the rule accurate (lag_matrix elsewhere), FOH's Ig in
+matrices.hold_vectors, recurrence.project_direct and integrate.  The
+rule is deterministic: no adaptivity, fixed node order, fixed summation
+order, so repeated builds are bit-identical.
 """
 
 from __future__ import annotations

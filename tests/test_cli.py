@@ -333,45 +333,48 @@ class TestLagshift:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "flags, code, verdict",
-        [
-            ([], 0, "PASS"),
-            (["--tau", "2"], 0, "PASS"),
-            (["--n", "128", "--tau", "2"], 0, "PASS"),
-            (["--delta", "0"], 0, "PASS"),
-            (["--n", "128"], 1, "FAIL"),
-            (["--n", "256"], 1, "FAIL"),
-            (["--delta", "0.1"], 1, "FAIL"),
-        ],
-        ids=["default", "tau2", "n128-tau2", "delta0", "n128", "n256", "delta0.1"],
+        "flags",
+        [[], ["--tau", "2"], ["--n", "128", "--tau", "2"], ["--delta", "0"], ["--n", "128"],
+         ["--n", "256"], ["--delta", "0.1"], ["--delta", "0.5"], ["--n", "256", "--tau", "2"]],
+        ids=["default", "tau2", "n128-tau2", "delta0", "n128", "n256", "delta0.1", "delta0.5",
+             "n256-tau2"],
     )
-    def test_backward_row_checked_against_exact_shift(self, tmp_path, capsys, flags, code, verdict):
-        """The rule-built backward row passes only where it meets the exact
-        e^{delta/tau} M(e^{delta/tau}) row to 1e-7; elsewhere its curve is
-        finite, which the first check alone let through."""
-        assert main(["lagshift", "--out", str(tmp_path), *flags]) == code
+    def test_backward_row_checked_against_exact_shift(self, tmp_path, capsys, flags):
+        """The backward row meets the same row of the exact shift
+        exp(-delta a_hippo / tau)^T to 1e-7: on the rule at the defaults,
+        and as lag_matrix where the rule is not accurate (N=128 and 256,
+        delta=0.1 and 0.5)."""
+        assert main(["lagshift", "--out", str(tmp_path), *flags]) == 0
         first, second = capsys.readouterr().out.splitlines()
         assert first.startswith("PASS lagshift n=") and first.split(":")[0].endswith("backward")
-        assert second.startswith(f"{verdict} lagshift n=") and "backward vs exact shift" in second
-        err = float(re.search(r"row err=(\S+)", second).group(1))
-        assert (err <= 1e-7) == (verdict == "PASS")
+        assert second.startswith("PASS lagshift n=")
+        assert "backward vs matrix exponential" in second
+        assert float(re.search(r"row err=(\S+)", second).group(1)) <= 1e-7
         assert (tmp_path / "lagshift.csv").exists()
 
+    def test_backward_check_reads_the_rules_own_error(self, tmp_path, capsys):
+        """At the defaults build_a_delta is on its rule, and the check reads
+        the rule's own error (2.78e-11) against the matrix exponential, which
+        a comparison of lag_matrix with itself would read as 0."""
+        assert main(["lagshift", "--out", str(tmp_path)]) == 0
+        err = float(re.search(r"row err=(\S+)", capsys.readouterr().out).group(1))
+        assert 1e-11 < err < 1e-10
+
     @pytest.mark.parametrize(
-        "flags",
-        [["--tau", "0.05", "--delta", "0.5"], ["--n", "256", "--tau", "0.01", "--delta", "0.5"]],
+        "flags, ratio, n",
+        [(["--tau", "0.05", "--delta", "0.5"], 10, 64),
+         (["--n", "256", "--tau", "0.01", "--delta", "0.5"], 50, 256)],
         ids=["n64-tau0.05", "n256-tau0.01"],
     )
-    def test_step_over_cap_in_delta_over_tau_is_refused(self, tmp_path, capsys, flags):
-        """The cap bounds delta / tau: a step within 0.5 but far past it in
-        delta / tau exits 2 with the cap error before the basis is evaluated
-        at exp(delta / tau) z (which overflowed with a bare RuntimeWarning),
-        and writes nothing."""
+    def test_step_whose_lag_matrix_overflows_is_refused(self, tmp_path, capsys, flags, ratio, n):
+        """A step far past the rule in delta / tau is lag_matrix's, and an
+        M(e^{delta/tau}) out of float range exits 2 with its NumericError,
+        no RuntimeWarning on the way, and writes nothing."""
         out = tmp_path / "out"
         assert main(["lagshift", "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: delta/tau=") and "exceeds the cap 0.5" in err
-        assert "RuntimeWarning" not in err
+        assert re.fullmatch(
+            rf"error: lag matrix overflows at c=\S+ \(delta/tau={ratio}\) and N={n}\n", err), err
         assert not out.exists()
 
     def test_forward_has_no_exact_shift_check(self, tmp_path, capsys):
@@ -421,13 +424,20 @@ class TestCheckLines:
             expected = [f"lagshift n={last} forward: max|shifted|=#"]
         elif command == "lagshift":
             expected = [f"lagshift n={last} backward: max|shifted|=#",
-                        f"lagshift n={last} backward vs exact shift: row err=# (tol 1e-07)"]
+                        f"lagshift n={last} backward vs matrix exponential: row err=# (tol 1e-07)"]
         else:
             expected = ["matrices dump: " + os.path.join(out, "matrices.json")]
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(expected)
         for line, template in zip(lines, expected):
             assert re.fullmatch("PASS " + _check_line(template), line), (line, template)
+
+    @pytest.mark.parametrize("tau", ["1", "2"])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_backward_lagshift_lines_past_the_rule(self, tmp_path, capsys, n, tau):
+        """Past the rule's panel size build_a_delta is lag_matrix; the
+        backward lines are the same and pass."""
+        self.test_lines(tmp_path, capsys, ["lagshift"], n, tau)
 
 
 class TestMatricesCommand:

@@ -34,6 +34,7 @@ from lagssm.matrices import (
     hold_vectors,
     load_matrices_json,
     save_matrices_json,
+    step_factor,
 )
 
 W = WarpSpec()
@@ -203,10 +204,55 @@ class TestADelta:
             a12 = build_a_delta(spec, W, d1 + d2, QUAD)
             assert frobenius_rel_diff(a12, a1 @ a2) <= 1e-9
 
-    def test_delta_cap(self):
-        spec = BasisSpec(n_basis=4)
-        with pytest.raises(ArgumentError, match="lag_matrix"):
-            build_a_delta(spec, W, 0.6, QUAD)
+    @pytest.mark.parametrize(
+        "n, delta", [(128, 0.01), (64, 0.1), (16, 0.5), (256, 1e-6), (32, 21.5)],
+        ids=["n128-past-the-panel", "n64-0.1", "n16-0.5", "n256-within-the-bound",
+             "n32-bound-inf"],
+    )
+    def test_lag_matrix_off_the_rule(self, n, delta):
+        """Where the rule is not accurate the result is
+        lag_matrix(basis, e^{delta/tau}) bit for bit: past the growth
+        bound; past the panel's size even within the bound (the rule is
+        off by 0.37 in Frobenius norm at N=256, delta=1e-6); or where the
+        bound overflows to inf (N=32 at 21.5, whose M(c) is finite), with
+        no RuntimeWarning."""
+        spec = BasisSpec(n_basis=n)
+        np.testing.assert_array_equal(
+            build_a_delta(spec, W, delta, QUAD), lag_matrix(spec, np.exp(delta)))
+
+    @pytest.mark.parametrize("n, delta", [(64, 0.01), (32, 0.03), (16, 0.2)])
+    def test_rule_kept_within_the_bound(self, n, delta):
+        """Within the bound the rule is kept: it differs from lag_matrix in
+        the last bits, by no more than the bound allows."""
+        spec = BasisSpec(n_basis=n)
+        a_d, exact = build_a_delta(spec, W, delta, QUAD), lag_matrix(spec, np.exp(delta))
+        assert not np.array_equal(a_d, exact)
+        assert frobenius_rel_diff(exact, a_d) <= 1e-9
+
+    def test_nan_bound_past_float_range_is_lag_matrix_error(self):
+        """At N=128, delta/tau=5, on a rule of 128 points per panel, the
+        bound's recurrence reaches NaN, which takes lag_matrix, and M(c)
+        overflows: its NumericError, and no RuntimeWarning."""
+        with pytest.raises(NumericError, match=r"lag matrix overflows at c=148\.4.* and N=128"):
+            build_a_delta(BasisSpec(n_basis=128), W, 5.0, QuadratureConfig(points_per_panel=128))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 256), ratio=st.floats(1e-6, 10.0), tau=st.floats(0.01, 10.0))
+    def test_within_1e9_of_lag_matrix_or_named_error(self, n, ratio, tau):
+        """Every accepted step is within 1e-9 of lag_matrix, in its top row
+        (max abs relative) and in Frobenius norm, or is lag_matrix's own
+        overflow NumericError; a RuntimeWarning is an error here."""
+        spec, warp, delta = BasisSpec(n_basis=n), WarpSpec(rate=tau), ratio * tau
+        c = step_factor(warp, delta)
+        try:
+            a_d = build_a_delta(spec, warp, delta, QUAD)
+        except NumericError:
+            with pytest.raises(NumericError, match="lag matrix overflows"):
+                lag_matrix(spec, c)
+            return
+        exact = lag_matrix(spec, c)
+        assert np.abs(a_d[0] - exact[0]).max() <= 1e-9 * np.abs(exact[0]).max()
+        assert frobenius_rel_diff(exact, a_d) <= 1e-9
 
     def test_rate_scales_diagonal(self):
         w2 = WarpSpec(rate=2.0)
@@ -514,9 +560,10 @@ class TestLagMatrix:
         vector is A^-1 (exp(delta A) - I) B, A = a_hippo/tau, B = b_hippo/tau,
         both to 1e-10 relative, over the whole basis range.
 
-        The N=256 cases fail on the quadrature route
-        correct_a_delta(build_a_delta(...)).T: its error there is 1.2e2 to
-        5.7e15 at delta <= 0.5 (and build_a_delta refuses delta=1).
+        The N=256 cases fail on the route through the inverse,
+        correct_a_delta(build_a_delta(...)).T: with max_condition=None its
+        error there is 6.7e-3 to inf at delta >= 1e-2, where M(c) is
+        ill-conditioned.
         """
         spec, warp = BasisSpec(n_basis=n), WarpSpec(rate=tau)
         ref = hippo_legs_reference(n)
@@ -643,6 +690,21 @@ class TestSerialization:
 
     def test_layout_of_empty_arrays_dict(self, tmp_path):
         self.assert_json_dump_layout(tmp_path / "m.json", {}, {"n_basis": 0})
+
+    @pytest.mark.parametrize(
+        "arrays, meta, key",
+        [({1: np.ones(2)}, {}, "1"),
+         ({"a": np.ones(2)}, {"list": [{"b": 1, (2, 3): 4}]}, r"\(2, 3\)")],
+        ids=["array-name", "nested-meta"],
+    )
+    def test_non_str_key_refused_before_writing(self, tmp_path, arrays, meta, key):
+        """json.dump would write the key 1 as "1"; the writer refuses it,
+        naming it, before the file is opened, so no half-file is left for
+        load_matrices_json to refuse."""
+        path = tmp_path / "m.json"
+        with pytest.raises(ArgumentError, match=f"object key {key} is not a str"):
+            save_matrices_json(path, arrays, meta)
+        assert not path.exists()
 
     def test_layout_of_edge_shapes(self, tmp_path):
         arrays = {
